@@ -204,9 +204,9 @@ let projection_experiment ~persons =
   (* best of three repetitions, to keep single-run noise out of Fig. 11 *)
   let time f =
     let once () =
-      let t0 = Unix.gettimeofday () in
+      let t0 = Xd_obs.Trace.now () in
       let r = f () in
-      (r, (Unix.gettimeofday () -. t0) *. 1000.)
+      (r, (Xd_obs.Trace.now () -. t0) *. 1000.)
     in
     let r1, t1 = once () in
     let _, t2 = once () in

@@ -175,15 +175,35 @@ let decompose_rewrite ~code_motion ~typing (strategy : Strategy.t)
       i_points = List.map (fun v -> v.Ast.id) ips;
     }
 
+(* Plans are memoised on the physical query: a text the parser has seen
+   before comes back as the same AST, and so gets back the same plan
+   here. The plan's execute-at records are its own (inlining rebuilds
+   every vertex), so filling their paths never reaches the query; a
+   caller that rewrites a returned plan's paths in place only loses the
+   entry, through the stamp. *)
+module Queries = Memo.Make (struct
+  type t = Ast.query
+
+  let id (q : t) = q.Ast.body.Ast.id
+end)
+
+let plans : (Strategy.t * bool * bool * bool, plan * Ast.paths_stamp) Queries.t =
+  Queries.create ()
+
 (* [?verify] closes the loop in one call: reject our own output if the
    independent safety analysis disagrees with the insertion conditions —
    a debug mode that turns any decomposer bug into an immediate, loudly
    diagnosed failure instead of a silently wrong distributed answer. *)
 let decompose ?(code_motion = false) ?(verify = false) ?(typing = true)
     (strategy : Strategy.t) (q0 : Ast.query) : plan =
-  let plan = decompose_rewrite ~code_motion ~typing strategy q0 in
-  if verify then self_check plan;
-  plan
+  fst
+    (Queries.find_or_add plans q0
+       (strategy, code_motion, typing, verify)
+       ~valid:(fun (_, stamp) -> Ast.paths_unchanged stamp)
+       (fun () ->
+         let plan = decompose_rewrite ~code_motion ~typing strategy q0 in
+         if verify then self_check plan;
+         (plan, Ast.stamp_paths plan.query)))
 
 let explain fmt (p : plan) =
   Fmt.pf fmt "strategy: %s@." (Strategy.to_string p.strategy);

@@ -45,6 +45,13 @@ val decompose :
     static type and cardinality proofs ({!Xd_types.Infer}): conditions
     i–iv are skipped for proven-atomic shipped results and parameters.
     [~typing:false] reverts to the purely structural conditions.
+
+    Memoised on the physical query and the four options: the same AST
+    (as {!Xd_lang.Parser.parse_query} returns for a repeated text) gets
+    back the same plan, which callers must treat as immutable. The
+    entry dies with the AST. A plan whose projection paths were
+    reassigned in place is recomputed, not reused. The plan shares no
+    [execute_at] record with [q]. Single-domain.
     @raise Update_placement for non-decomposable updating queries (never
     under {!Strategy.Data_shipping}, where updates run wherever their
     documents were fetched — see the executor's fetched-copy guard).

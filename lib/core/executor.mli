@@ -155,6 +155,14 @@ val run_plan :
     paths are strict specializations with generic fallback —
     so [~codec:false] is the ablation baseline for [bench codec].
 
+    The prelude — overlap schedule, compiled codec, verifier report —
+    is memoised on the physical plan, under the client's name,
+    [parallel], [codec] and {!Xd_topo.Catalog.version} of the network's
+    catalog, so a repeated plan (as {!Decompose.decompose} returns for a
+    repeated query) skips it; the entry dies with the plan. The report
+    is enforced on every run. [wall_s] starts after the prelude.
+    Single-domain.
+
     [trace] records the execution as a span tree in the given tracer
     (simulated clock pointed at the run's wire time, root span in
     [run.trace_root]); export with {!Xd_obs.Sink}. Tracing never

@@ -358,3 +358,22 @@ let find_vertex e target_id =
   let found = ref None in
   iter (fun x -> if x.id = target_id then found := Some x) e;
   !found
+
+type paths_stamp =
+  (execute_at * (var * string list * string list) list * (string list * string list))
+  list
+
+let stamp_paths q =
+  let stamp acc e =
+    match e.desc with
+    | Execute_at x -> (x, x.param_paths, x.result_paths) :: acc
+    | _ -> acc
+  in
+  List.fold_left
+    (fun acc f -> fold stamp acc f.f_body)
+    (fold stamp [] q.body) q.funcs
+
+let paths_unchanged stamp =
+  List.for_all
+    (fun (x, pp, rp) -> x.param_paths == pp && x.result_paths == rp)
+    stamp

@@ -175,3 +175,20 @@ val is_updating_desc : desc -> bool
 val contains_update : expr -> bool
 val update_target : expr -> expr option
 val find_vertex : expr -> int -> expr option
+
+(** {2 Path stamps}
+
+    The projection paths of an [execute_at] record are the only mutable
+    part of a query. A memo that hands the same query (or a plan built
+    from it) to many callers stamps the paths when it stores the value
+    and re-checks the stamp before reuse, so that a caller who filled or
+    tampered with them in place never poisons later hits. *)
+
+type paths_stamp
+
+val stamp_paths : query -> paths_stamp
+(** The current paths of every [execute_at] record in the body and the
+    function bodies. *)
+
+val paths_unchanged : paths_stamp -> bool
+(** No stamped record has had either path field reassigned since. *)

@@ -1088,7 +1088,7 @@ let parse_function p =
 
 let create src = { lx = Lexer.create src; ctx_var = None; fresh = 0 }
 
-let parse_query src =
+let parse_fresh src =
   let p = create src in
   let rec prolog acc =
     if is_name p "declare" then prolog (parse_function p :: acc)
@@ -1100,6 +1100,60 @@ let parse_query src =
   | Lexer.EOF -> ()
   | t -> failf p "trailing input: %s" (Lexer.token_to_string t));
   { Ast.funcs; body }
+
+(* ---- the parse memo ----------------------------------------------------
+
+   Text -> AST, so that a repeated query text costs one table lookup and
+   comes back as the very AST it produced before; the decomposer and the
+   executor key their own memos on that identity. Keyed on the full text
+   (the table compares strings, never just their hash).
+
+   A text is admitted on its second sighting: a first sighting leaves only
+   its digest, in a direct-mapped array of [seen_slots] ints, so a stream
+   that never repeats (every 2PC update text embeds its values) holds
+   nothing. At most [memo_cap] texts are kept; admitting one more evicts
+   the least recently used. Not safe to share between domains. *)
+
+let memo_cap = 256
+let seen_slots = 1024 (* a power of two *)
+
+type entry = { ast : Ast.query; stamp : Ast.paths_stamp; mutable used : int }
+
+let memo : (string, entry) Hashtbl.t = Hashtbl.create memo_cap
+let seen = Array.make seen_slots (-1)
+let clock = ref 0
+
+let evict_lru () =
+  let victim =
+    Hashtbl.fold
+      (fun text e acc ->
+        match acc with
+        | Some (_, used) when used <= e.used -> acc
+        | _ -> Some (text, e.used))
+      memo None
+  in
+  Option.iter (fun (text, _) -> Hashtbl.remove memo text) victim
+
+let admit src ast =
+  if Hashtbl.length memo >= memo_cap then evict_lru ();
+  Hashtbl.replace memo src { ast; stamp = Ast.stamp_paths ast; used = !clock }
+
+let parse_query src =
+  incr clock;
+  match Hashtbl.find_opt memo src with
+  | Some e when Ast.paths_unchanged e.stamp ->
+    e.used <- !clock;
+    e.ast
+  | cached ->
+    let ast = parse_fresh src in
+    let digest = Hashtbl.hash src in
+    let slot = digest land (seen_slots - 1) in
+    (* a hit whose paths a caller filled in place is re-parsed *)
+    if Option.is_some cached || seen.(slot) = digest then admit src ast
+    else seen.(slot) <- digest;
+    ast
+
+let memo_size () = Hashtbl.length memo
 
 let parse_expr_string src =
   let p = create src in

@@ -17,7 +17,21 @@ exception Error of string * int
 (** Message and byte offset. *)
 
 val parse_query : string -> Ast.query
-(** Parse [declare function …;]* followed by the query body. *)
+(** Parse [declare function …;]* followed by the query body.
+
+    Memoised: a text seen before may return the physically same AST as
+    its earlier parse, and the decomposer and executor memoise on that
+    identity. The result is therefore shared and must be treated as
+    immutable. Rewrites build new trees (as {!Ast.with_children} does);
+    a caller that fills [execute_at] projection paths in place only
+    costs itself the memo entry (a stamp check re-parses the text). A
+    text is kept from its second sighting, a fixed number of texts at
+    most (least recently used evicted); first sightings keep only a
+    digest. Single-domain: do not call from two domains at once. *)
+
+val memo_size : unit -> int
+(** Texts the parse memo currently holds (never more than its fixed
+    bound). *)
 
 val parse_expr_string : string -> Ast.expr
 (** Parse a single expression (no prolog). *)

@@ -33,6 +33,10 @@ let create ?(cap = 65536) ?(sim = fun () -> 0.) () =
 
 let set_sim t f = t.sim <- f
 
+(* Monotonic seconds since an arbitrary origin: immune to wall-clock
+   steps, so durations never go negative. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* Ids are derived from a per-tracer counter through a multiplicative
    hash, so they look like ids, never collide within a run, and are
    reproducible across runs — which lets tests pin them after a trivial
@@ -65,7 +69,7 @@ let start topt ~parent ~peer ~cat name =
           name;
           cat;
           peer;
-          start_wall = Unix.gettimeofday ();
+          start_wall = now ();
           start_sim = now_sim;
           end_wall = nan;
           end_sim = nan;
@@ -83,7 +87,7 @@ let push t s =
 let finish topt sp =
   match (topt, sp) with
   | Some t, Some s ->
-      s.end_wall <- Unix.gettimeofday ();
+      s.end_wall <- now ();
       s.end_sim <- t.sim ();
       s.attrs <- List.rev s.attrs;
       push t s

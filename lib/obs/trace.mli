@@ -46,6 +46,11 @@ val create : ?cap:int -> ?sim:(unit -> float) -> unit -> t
 val set_sim : t -> (unit -> float) -> unit
 (** Re-point the simulated clock (e.g. once the network exists). *)
 
+val now : unit -> float
+(** The monotonic clock every wall-time reading in the system uses
+    (spans, {!Xd_xrpc.Stats} buckets, executor wall time), in seconds
+    since an arbitrary origin. Only differences are meaningful. *)
+
 val start :
   t option -> parent:parent -> peer:string -> cat:string -> string ->
   span option

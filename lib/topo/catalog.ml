@@ -4,10 +4,26 @@ type t = {
   entries : (string, entry) Hashtbl.t; (* doc -> entry *)
   members : (string, bool) Hashtbl.t; (* peer -> up *)
   mutable epoch : int;
+  mutable version : int; (* unique across catalogs; see [version] *)
 }
 
-let create () = { entries = Hashtbl.create 8; members = Hashtbl.create 8; epoch = 0 }
+(* One counter for every catalog in the process, so that a version names
+   both a catalog and its state. *)
+let last_version = ref 0
+
+let bump_version t =
+  incr last_version;
+  t.version <- !last_version
+
+let create () =
+  let t =
+    { entries = Hashtbl.create 8; members = Hashtbl.create 8; epoch = 0; version = 0 }
+  in
+  bump_version t;
+  t
+
 let epoch t = t.epoch
+let version t = t.version
 let trivial t = Hashtbl.length t.entries = 0
 
 let enroll t peer =
@@ -16,7 +32,8 @@ let enroll t peer =
 let register t ~doc ~owner ?(replicas = []) () =
   Hashtbl.replace t.entries doc { doc; owner; replicas };
   enroll t owner;
-  List.iter (enroll t) replicas
+  List.iter (enroll t) replicas;
+  bump_version t
 
 let resolve t doc = Hashtbl.find_opt t.entries doc
 let owner_of t doc = Option.map (fun e -> e.owner) (resolve t doc)
@@ -34,11 +51,13 @@ let move t ~doc ~owner =
   in
   Hashtbl.replace t.entries doc { doc; owner; replicas };
   enroll t owner;
-  t.epoch <- t.epoch + 1
+  t.epoch <- t.epoch + 1;
+  bump_version t
 
 let join t peer =
   Hashtbl.replace t.members peer true;
-  t.epoch <- t.epoch + 1
+  t.epoch <- t.epoch + 1;
+  bump_version t
 
 let leave t peer =
   Hashtbl.remove t.members peer;
@@ -55,7 +74,8 @@ let leave t peer =
       else if replicas <> e.replicas then
         Hashtbl.replace t.entries doc { e with replicas })
     (Hashtbl.copy t.entries);
-  t.epoch <- t.epoch + 1
+  t.epoch <- t.epoch + 1;
+  bump_version t
 
 let mark_down t peer = Hashtbl.replace t.members peer false
 let mark_up t peer = Hashtbl.replace t.members peer true

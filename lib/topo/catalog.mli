@@ -28,6 +28,14 @@ val of_parts :
 
 val epoch : t -> int
 
+(** A stamp that changes on every change to membership or to the
+    document-to-owner map, initial placement ({!register}) included —
+    which {!epoch} does not see. Versions are unique across all catalogs
+    of the process, so a version also tells two catalogs apart: caches
+    of judgments made against a catalog key on it. Liveness marks keep
+    it. *)
+val version : t -> int
+
 (** A trivial catalog has no entries; installing one changes nothing
     observable (the wire stays byte-identical to the static build). *)
 val trivial : t -> bool

@@ -62,6 +62,7 @@ type t = {
   mutable recs : record list; (* newest first *)
   table : (string, staged) Hashtbl.t;
   mutable observer : record -> unit; (* telemetry hook, see on_append *)
+  mutable last_txn : int; (* highest sequence number of our own txn ids *)
 }
 
 let on_append t f = t.observer <- f
@@ -219,10 +220,52 @@ let unresolved t =
       else Some (txn, !parts, if !decided then `Commit else `Abort))
     (List.rev !order)
 
+(* ---- transaction ids -------------------------------------------------- *)
+
+(* A coordinator's transaction ids are "<peer>:txn<N>". The counter lives
+   here, not in a session: every session of the peer shares the journal,
+   and a reopened file-backed journal resumes past every id it recorded,
+   so no participant ever sees an id twice. *)
+let txn_prefix t = t.peer ^ ":txn"
+
+let fresh_txn t =
+  t.last_txn <- t.last_txn + 1;
+  txn_prefix t ^ string_of_int t.last_txn
+
+let txn_of_record = function
+  | Staged { txn; _ }
+  | Prepared { txn }
+  | Committed { txn }
+  | Aborted { txn }
+  | Begun { txn }
+  | Participant { txn; _ }
+  | Decided { txn }
+  | Resolved { txn } ->
+    txn
+
+let resume_txn_ids t =
+  let prefix = txn_prefix t in
+  let n = String.length prefix in
+  List.iter
+    (fun r ->
+      let txn = txn_of_record r in
+      if String.starts_with ~prefix txn then
+        match int_of_string_opt (String.sub txn n (String.length txn - n)) with
+        | Some k when k > t.last_txn -> t.last_txn <- k
+        | _ -> ())
+    t.recs
+
 (* ---- construction ----------------------------------------------------- *)
 
 let in_memory ~peer =
-  { peer; file = None; recs = []; table = Hashtbl.create 4; observer = ignore }
+  {
+    peer;
+    file = None;
+    recs = [];
+    table = Hashtbl.create 4;
+    observer = ignore;
+    last_txn = 0;
+  }
 
 let open_file ~dir ~peer =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
@@ -249,8 +292,10 @@ let open_file ~dir ~peer =
       recs = existing;
       table = Hashtbl.create 4;
       observer = ignore;
+      last_txn = 0;
     }
   in
+  resume_txn_ids t;
   (* opening after a process restart IS a crash-restart: rebuild the staged
      table with presumed abort *)
   crash_restart t;

@@ -43,6 +43,13 @@ val on_append : t -> (record -> unit) -> unit
     installed and is not reported). One observer at a time; the default
     ignores. *)
 
+val fresh_txn : t -> string
+(** The next transaction id for this peer as coordinator,
+    ["<peer>:txn<N>"]: [N] is one past the highest sequence number this
+    journal has handed out or (for a reopened file) recorded. Every
+    session of the peer shares the journal, so ids never repeat across
+    sessions; a fresh peer's first id is [txn1]. *)
+
 (** {2 Participant operations} *)
 
 val stage : t -> txn:string -> req:string -> pul:string -> bool

@@ -55,7 +55,6 @@ type t = {
       (* the transaction in scope: set on the coordinator for the whole
          execution, and on a server session while it evaluates a
          txn-tagged request (so nested calls propagate the id) *)
-  mutable next_txn : int; (* coordinator: transaction-id counter *)
   sched : (int, int list list) Hashtbl.t;
       (* effect-analysis schedule, coordinator only: anchor (Seq/Let/For)
          vertex id -> overlap groups, each the consecutive Execute_at
@@ -115,7 +114,6 @@ let create ?record ?(bulk = true) ?schema ?(depth = 0) ?(timeout_s = 1.0)
     dedup_cap = max 1 dedup_cap;
     next_req = 0;
     txn = None;
-    next_txn = 0;
     sched;
     deadline_rel = deadline;
     deadline_at = None;
@@ -153,7 +151,7 @@ let span_note session ~cat name =
 
 (* Record on [sp] how far a Stats reader moved across [f] — the exact
    amount the region charged to its bucket. Span wall clocks are
-   separate gettimeofday reads and drift against the gauges; the deltas
+   separate clock reads and drift against the gauges; the deltas
    are what lets Profile reconcile per-vertex sums with the registry
    totals to the float, not to a tolerance. No-ops when untraced. *)
 let attr_delta_f sp key reader f =
@@ -2253,10 +2251,6 @@ let commit_txn session (env : Env.t) (c : coord) =
       raise e
   end
 
-let fresh_txn session =
-  session.next_txn <- session.next_txn + 1;
-  Printf.sprintf "%s:txn%d" (Peer.name session.self) session.next_txn
-
 (* ---------------- public API ------------------------------------------- *)
 
 let env_for session ~funcs =
@@ -2292,7 +2286,7 @@ let execute_txn session (q : Ast.query) =
       Some (Xd_topo.Catalog.epoch cat)
     | _ -> None
   in
-  let c = { txn_id = fresh_txn session; participants = []; epoch } in
+  let c = { txn_id = Journal.fresh_txn (journal session); participants = []; epoch } in
   session.txn <- Some c;
   Fun.protect
     ~finally:(fun () -> session.txn <- None)
@@ -2307,6 +2301,9 @@ let execute_txn session (q : Ast.query) =
            eagerly release staged state where the wire allows *)
         if c.participants <> [] then begin
           Stats.incr_txn_aborts session.net.Network.stats;
+          (* participants know this id now: journal it, so that a
+             reopened journal never hands it out again *)
+          Journal.abort (journal session) ~txn:c.txn_id;
           ignore
             (List.map
                (fun host -> txn_rpc session ~host Message.Abort c.txn_id)

@@ -289,7 +289,7 @@ let set_peer_up ~peer t up =
   M.set (M.gauge t.reg (peer_up_prefix ^ peer ^ "}")) (if up then 1. else 0.)
 
 (* Timed scopes *)
-let now () = Unix.gettimeofday ()
+let now = Xd_obs.Trace.now
 
 let timed t g h f =
   let t0 = now () in

@@ -71,11 +71,15 @@ let prop_inline_preserves =
       run q = run (Xd_core.Inline.inline_query q))
 
 (* decomposition itself must also be stable: decomposing twice gives the
-   same plan text *)
+   same plan text (the second time from a copy of the query record, which
+   the decomposer's memo does not know) *)
 let prop_decompose_deterministic =
   qtest ~count:60 "decomposition is deterministic" arb_query (fun q ->
       let p1 = Xd_core.Decompose.decompose S.By_projection q in
-      let p2 = Xd_core.Decompose.decompose S.By_projection q in
+      let p2 =
+        Xd_core.Decompose.decompose S.By_projection
+          { q with Xd_lang.Ast.body = q.Xd_lang.Ast.body }
+      in
       Xd_lang.Pp.query_to_string p1.Xd_core.Decompose.query
       = Xd_lang.Pp.query_to_string p2.Xd_core.Decompose.query)
 

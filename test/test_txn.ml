@@ -343,6 +343,58 @@ let test_journal_dir_end_to_end () =
     || world_state net = Lazy.force initial_state);
   check_bool "journal file written" (Sys.file_exists (dir ^ "/client.journal"))
 
+(* ---- transaction ids -------------------------------------------------------- *)
+
+let q_replace_two v =
+  Printf.sprintf
+    {|(replace value of node doc("xrpc://peerA/students.xml")/child::people/child::person[attribute::id = "s1"]/child::name with "%s",
+       replace value of node doc("xrpc://peerB/course.xml")/child::enroll/child::exam[attribute::id = "1"]/child::grade with "%s")|}
+    v v
+
+let read_back_two net ~client =
+  Xd_lang.Value.serialize
+    (E.run_local net ~client
+       (parse
+          {|(string(doc("xrpc://peerA/students.xml")/child::people/child::person[attribute::id = "s1"]/child::name),
+             string(doc("xrpc://peerB/course.xml")/child::enroll/child::exam[attribute::id = "1"]/child::grade))|}))
+
+(* every run_plan opens a new session; the transaction ids must still
+   differ, or participants acknowledge the second commit as a duplicate
+   of the first without applying it *)
+let test_sequential_txns_apply () =
+  let net, client = make_net () in
+  List.iter
+    (fun v ->
+      let plan = D.decompose S.By_projection (parse (q_replace_two v)) in
+      let r = E.run_plan net ~client plan in
+      check_int "one commit" 1 r.E.timing.E.txn_commits;
+      check_string ("both sites show write " ^ v) (v ^ " " ^ v)
+        (read_back_two net ~client))
+    [ "first"; "second"; "third" ]
+
+(* a coordinator's ids continue past everything its journal recorded,
+   across sessions and across a reopened journal file *)
+let test_txn_ids_resume () =
+  let dir = "txn-journal-ids" in
+  fresh_dir dir;
+  let net, client = make_net ~journal_dir:dir () in
+  check_string "a fresh peer starts at txn1" "client:txn1"
+    (J.fresh_txn (N.journal (fst (make_net ())) "client"));
+  List.iter
+    (fun v -> ignore (E.run net ~client S.By_fragment (parse (q_replace_two v))))
+    [ "a"; "b" ];
+  (* txn3 fails after both participants staged: the abort is journaled *)
+  (match
+     E.run net ~client S.By_fragment
+       (parse ("(" ^ q_replace_two "c" ^ ", 1 idiv 0)"))
+   with
+  | _ -> Alcotest.fail "expected a dynamic error"
+  | exception Xd_lang.Value.Type_error _ -> ());
+  check_string "the failed update left no trace" "b b" (read_back_two net ~client);
+  let net2, _ = make_net ~journal_dir:dir () in
+  check_string "reopened journal resumes after txn3" "client:txn4"
+    (J.fresh_txn (N.journal net2 "client"))
+
 (* ---- bounded dedup cache -------------------------------------------------- *)
 
 (* two calls to the same peer on a duplicating wire: both responses carry
@@ -451,6 +503,8 @@ let () =
           tc "journal durability (file)" test_journal_file;
           tc "file-backed journals end to end" test_journal_dir_end_to_end;
           tc "dedup cache is bounded" test_dedup_cache_bounded;
+          tc "sequential two-site updates all apply" test_sequential_txns_apply;
+          tc "txn ids resume across sessions and reopen" test_txn_ids_resume;
           tc "single-site wire identity" test_single_site_wire_identity;
           tc "txn_needed site analysis" test_txn_needed;
         ] );
