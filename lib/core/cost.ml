@@ -61,6 +61,17 @@ let envelope_overhead = 400 (* bytes per request/response pair *)
    on the Fig. 8 breakdown (serialize + shred share of a round trip). *)
 let codec_discount = 0.15
 
+(* Serialized sizes, memoised per physical document: a document's arrays
+   never change once built, and an update installs a new [Doc.t], so an
+   entry can never go stale. *)
+module Docs = Memo.Make (struct
+  type t = Xd_xml.Doc.t
+
+  let id = Xd_xml.Doc.total_nodes
+end)
+
+let doc_bytes : (unit, int) Docs.t = Docs.create ()
+
 (* Serialized size of a document at its owning peer, if resolvable. *)
 let doc_size net uri =
   match Dg.split_xrpc_uri uri with
@@ -70,7 +81,12 @@ let doc_size net uri =
     | exception _ -> None
     | peer -> (
       match Xd_xrpc.Peer.find_doc peer name with
-      | Some d -> Some (host, Xd_xml.Serializer.doc_bytes d)
+      | Some d ->
+        let bytes =
+          Docs.find_or_add doc_bytes d () ~valid:(fun _ -> true) (fun () ->
+              Xd_xml.Serializer.doc_bytes d)
+        in
+        Some (host, bytes)
       | None -> None))
 
 (* Average serialized size of one atomic item in an XRPC response

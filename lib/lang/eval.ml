@@ -1,8 +1,8 @@
 (* The XCore evaluator. Standard environment-passing interpreter; the only
-   unusual pieces are (a) path steps always sort and deduplicate their
-   result in document order — the property whose loss under pass-by-value
-   the paper's Problems 1-4 describe — and (b) Execute_at delegates to the
-   environment's RPC hook. *)
+   unusual pieces are (a) path steps always return their result in
+   document order without duplicates — the property whose loss under
+   pass-by-value the paper's Problems 1-4 describe — and (b) Execute_at
+   delegates to the environment's RPC hook. *)
 
 module X = Xd_xml
 
@@ -26,26 +26,33 @@ let test_matches axis test n =
     if principal_attr then kind = X.Node.Attribute && X.Node.name n = nm
     else kind = X.Node.Element && X.Node.name n = nm
 
-let axis_nodes axis n =
+(* The forward axes walk the document arrays; the reverse and horizontal
+   ones fold their lists. Like [List.fold_right], [f] sees the axis's
+   nodes last to first, so consing builds them in order. *)
+let fold_axis axis f n acc =
+  let fold_list l = List.fold_left (fun acc m -> f m acc) acc (List.rev l) in
   match axis with
-  | Ast.Child -> X.Node.children n
-  | Ast.Descendant -> X.Node.descendants n
-  | Ast.Descendant_or_self -> X.Node.descendant_or_self n
-  | Ast.Self -> [ n ]
-  | Ast.Attribute -> X.Node.attributes n
-  | Ast.Parent -> ( match X.Node.parent n with None -> [] | Some p -> [ p ])
-  | Ast.Ancestor -> X.Node.ancestors n
-  | Ast.Ancestor_or_self -> X.Node.ancestor_or_self n
-  | Ast.Following -> X.Node.following n
-  | Ast.Following_sibling -> X.Node.following_sibling n
-  | Ast.Preceding -> X.Node.preceding n
-  | Ast.Preceding_sibling -> X.Node.preceding_sibling n
+  | Ast.Child -> X.Node.fold_children f n acc
+  | Ast.Descendant -> X.Node.fold_descendants f n acc
+  | Ast.Descendant_or_self -> X.Node.fold_descendant_or_self f n acc
+  | Ast.Attribute -> X.Node.fold_attributes f n acc
+  | Ast.Self -> f n acc
+  | Ast.Parent -> ( match X.Node.parent n with None -> acc | Some p -> f p acc)
+  | Ast.Ancestor -> fold_list (X.Node.ancestors n)
+  | Ast.Ancestor_or_self -> fold_list (X.Node.ancestor_or_self n)
+  | Ast.Following -> fold_list (X.Node.following n)
+  | Ast.Following_sibling -> fold_list (X.Node.following_sibling n)
+  | Ast.Preceding -> fold_list (X.Node.preceding n)
+  | Ast.Preceding_sibling -> fold_list (X.Node.preceding_sibling n)
 
+(* The node test runs inside the walk. Walking the context from its last
+   node back builds the result front to back. From ordered, non-nested
+   context nodes a forward step is then already in document order, so
+   [sort_dedup] only checks it. *)
 let eval_step axis test ctx_nodes =
-  let per_node n =
-    List.filter (test_matches axis test) (axis_nodes axis n)
-  in
-  X.Seq_ops.sort_dedup (List.concat_map per_node ctx_nodes)
+  let keep n acc = if test_matches axis test n then n :: acc else acc in
+  let step acc n = fold_axis axis keep n acc in
+  X.Seq_ops.sort_dedup (List.fold_left step [] (List.rev ctx_nodes))
 
 let matches_sequence_type (v : Value.t) = function
   | Ast.St_empty -> v = []

@@ -47,13 +47,52 @@ let atomize_item = function
 
 let atomize (v : t) : atom list = List.map atomize_item v
 
+(* xs:double's lexical space: an optional sign, digits with an optional
+   fraction or a fraction alone, then an optional exponent. OCaml's float
+   syntax is wider (0x10, 1_000, inf, nan), so it is checked first. *)
+let is_double_literal s =
+  let n = String.length s in
+  let rec digits i =
+    if i < n && s.[i] >= '0' && s.[i] <= '9' then digits (i + 1) else i
+  in
+  let sign i = if i < n && (s.[i] = '+' || s.[i] = '-') then i + 1 else i in
+  let start = sign 0 in
+  let int_end = digits start in
+  let frac_end =
+    if int_end < n && s.[int_end] = '.' then digits (int_end + 1) else int_end
+  in
+  let has_digits = int_end > start || frac_end > int_end + 1 in
+  let exponent_ok =
+    frac_end = n
+    || (s.[frac_end] = 'e' || s.[frac_end] = 'E')
+       &&
+       let e = sign (frac_end + 1) in
+       let e_end = digits e in
+       e_end > e && e_end = n
+  in
+  has_digits && exponent_ok
+
+let trim_xml_space s =
+  let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' in
+  let n = String.length s in
+  let rec first i = if i < n && is_space s.[i] then first (i + 1) else i in
+  let rec last j = if j > 0 && is_space s.[j - 1] then last (j - 1) else j in
+  let i = first 0 in
+  String.sub s i (max i (last n) - i)
+
+(* Casting text to xs:double. NaN, and any text outside the lexical
+   space, is NaN: the schemaless convention for non-numeric text. *)
+let double_of_text s =
+  match trim_xml_space s with
+  | "INF" | "+INF" -> Float.infinity
+  | "-INF" -> Float.neg_infinity
+  | t when is_double_literal t -> float_of_string t
+  | _ -> Float.nan
+
 let atom_to_double = function
   | Integer i -> float_of_int i
   | Double f -> f
-  | Untyped s | String s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f -> f
-    | None -> Float.nan)
+  | Untyped s | String s -> double_of_text s
   | Boolean b -> if b then 1.0 else 0.0
 
 (* General-comparison pairwise rule with untypedAtomic promotion. *)

@@ -47,12 +47,17 @@ let kind n =
 let name n =
   if n.attr >= 0 then n.doc.Doc.attr_name.(n.attr) else n.doc.Doc.name.(n.idx)
 
-(* Ordering key: (did, pre, is_attr, attr_idx). An attribute of element with
-   pre p sorts after (p,0,_) and before (p+1,0,_). *)
-let order_key n = (n.doc.Doc.did, n.idx, (if n.attr >= 0 then 1 else 0), n.attr)
+(* Document order compares (did, pre, attr) field by field. A tree node
+   has attr = -1, so it sorts before its own attributes, and those sort
+   before the element's first child (pre + 1). *)
+let compare_order a b =
+  let c = Int.compare a.doc.Doc.did b.doc.Doc.did in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.idx b.idx in
+    if c <> 0 then c else Int.compare a.attr b.attr
 
-let compare_order a b = compare (order_key a) (order_key b)
-let same a b = compare_order a b = 0
+let same a b = a.doc.Doc.did = b.doc.Doc.did && a.idx = b.idx && a.attr = b.attr
 
 let string_value n =
   if n.attr >= 0 then n.doc.Doc.attr_value.(n.attr)
@@ -90,34 +95,63 @@ let parent n =
     let p = n.doc.Doc.parent.(n.idx) in
     if p < 0 then None else Some (of_tree n.doc p)
 
-let attributes n =
-  if n.attr >= 0 then []
-  else
-    let first = n.doc.Doc.attr_first.(n.idx) in
-    if first < 0 then []
-    else
-      List.init n.doc.Doc.attr_count.(n.idx) (fun i -> of_attr n.doc (first + i))
+(* The forward axes are right folds over the pre/size/attribute arrays, so
+   a path step can filter inside the walk. Each walks its axis from the
+   last node back to the first, so consing builds a list in document order
+   in one pass; inlined into the list wrappers below, they cost no closure
+   call per node. *)
 
-let children n =
-  if n.attr >= 0 then []
+let[@inline] fold_attributes f n acc =
+  if n.attr >= 0 then acc
   else begin
     let d = n.doc in
-    let stop = n.idx + d.Doc.size.(n.idx) in
-    let rec loop i acc =
-      if i > stop then List.rev acc
-      else loop (i + d.Doc.size.(i) + 1) (of_tree d i :: acc)
-    in
-    loop (n.idx + 1) []
+    let first = d.Doc.attr_first.(n.idx) in
+    let acc = ref acc in
+    if first >= 0 then
+      for ai = first + d.Doc.attr_count.(n.idx) - 1 downto first do
+        acc := f { doc = d; idx = n.idx; attr = ai } !acc
+      done;
+    !acc
   end
 
-let descendants n =
-  if n.attr >= 0 then []
-  else
-    let d = n.doc in
-    let stop = n.idx + d.Doc.size.(n.idx) in
-    List.init (stop - n.idx) (fun i -> of_tree d (n.idx + 1 + i))
+(* The node just before a child of p in pre-order is p itself or the last
+   node of the previous child's subtree; climbing parents from it finds
+   that previous child. *)
+let[@inline] fold_children f n acc =
+  if n.attr >= 0 then acc
+  else begin
+    let d = n.doc and p = n.idx in
+    let acc = ref acc and c = ref (p + d.Doc.size.(p)) in
+    while !c > p do
+      while d.Doc.parent.(!c) <> p do
+        c := d.Doc.parent.(!c)
+      done;
+      acc := f (of_tree d !c) !acc;
+      c := !c - 1
+    done;
+    !acc
+  end
 
-let descendant_or_self n = if n.attr >= 0 then [ n ] else n :: descendants n
+let[@inline] fold_tree_range d first last f acc =
+  let acc = ref acc in
+  for i = last downto first do
+    acc := f (of_tree d i) !acc
+  done;
+  !acc
+
+let[@inline] fold_descendants f n acc =
+  if n.attr >= 0 then acc
+  else fold_tree_range n.doc (n.idx + 1) (n.idx + n.doc.Doc.size.(n.idx)) f acc
+
+let[@inline] fold_descendant_or_self f n acc =
+  if n.attr >= 0 then f n acc
+  else fold_tree_range n.doc n.idx (n.idx + n.doc.Doc.size.(n.idx)) f acc
+
+let cons m acc = m :: acc
+let attributes n = fold_attributes cons n []
+let children n = fold_children cons n []
+let descendants n = fold_descendants cons n []
+let descendant_or_self n = fold_descendant_or_self cons n []
 
 let ancestors n =
   let rec up acc cur =

@@ -27,9 +27,9 @@ val is_attribute : t -> bool
 val kind : t -> kind
 val name : t -> string
 
-val order_key : t -> int * int * int * int
 val compare_order : t -> t -> int
-(** Global document order (documents ordered by store id). *)
+(** Global document order: document id, then pre index, then attribute
+    index (a tree node sorts before its own attributes). *)
 
 val same : t -> t -> bool
 (** Node identity ([is] in XQuery). *)
@@ -42,6 +42,16 @@ val contains : t -> t -> bool
     descendant-or-self) of [a]. *)
 
 (** {2 Axes} — all results in document order. *)
+
+(** The forward axes as right folds over the document arrays:
+    [fold_children f n init] is [List.fold_right f (children n) init]
+    without building the list. Each walks from the axis's last node back
+    to its first, in constant stack. *)
+
+val fold_children : (t -> 'a -> 'a) -> t -> 'a -> 'a
+val fold_descendants : (t -> 'a -> 'a) -> t -> 'a -> 'a
+val fold_descendant_or_self : (t -> 'a -> 'a) -> t -> 'a -> 'a
+val fold_attributes : (t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val parent : t -> t option
 val attributes : t -> t list

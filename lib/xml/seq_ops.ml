@@ -5,43 +5,67 @@
 
 let sort ns = List.stable_sort Node.compare_order ns
 
+let rec strictly_ordered = function
+  | a :: (b :: _ as rest) -> Node.compare_order a b < 0 && strictly_ordered rest
+  | [] | [ _ ] -> true
+
+(* Path steps from ordered, non-nested contexts already come out in
+   document order without duplicates; one linear check spares the sort. *)
 let sort_dedup ns =
-  let sorted = sort ns in
-  let rec dedup = function
-    | a :: (b :: _ as rest) ->
-      if Node.same a b then dedup rest else a :: dedup rest
-    | rest -> rest
+  if strictly_ordered ns then ns
+  else
+    let rec dedup acc = function
+      | a :: (b :: _ as rest) ->
+        dedup (if Node.same a b then acc else a :: acc) rest
+      | [ a ] -> List.rev (a :: acc)
+      | [] -> List.rev acc
+    in
+    dedup [] (sort ns)
+
+(* The node-set operators merge their two ordered, duplicate-free
+   operands in one pass. [only_a] and [only_b] say whether to emit a node
+   found in one operand only; [both] picks which operand's copy of a
+   shared node to emit, if any (union keeps [b]'s, as sorting [a @ b] and
+   keeping the last of each run did). *)
+type side = A | B | Neither
+
+let merge ~only_a ~only_b ~both a b =
+  let rec go acc a b =
+    match (a, b) with
+    | [], [] -> List.rev acc
+    | x :: a', [] -> go (if only_a then x :: acc else acc) a' []
+    | [], y :: b' -> go (if only_b then y :: acc else acc) [] b'
+    | x :: a', y :: b' ->
+      let c = Node.compare_order x y in
+      if c < 0 then go (if only_a then x :: acc else acc) a' b
+      else if c > 0 then go (if only_b then y :: acc else acc) a b'
+      else
+        let acc =
+          match both with A -> x :: acc | B -> y :: acc | Neither -> acc
+        in
+        go acc a' b'
   in
-  dedup sorted
+  go [] (sort_dedup a) (sort_dedup b)
 
-let union a b = sort_dedup (a @ b)
-
-let intersect a b =
-  let b = sort_dedup b in
-  let mem n = List.exists (Node.same n) b in
-  List.filter mem (sort_dedup a)
-
-let except a b =
-  let b = sort_dedup b in
-  let mem n = List.exists (Node.same n) b in
-  List.filter (fun n -> not (mem n)) (sort_dedup a)
+let union a b = merge ~only_a:true ~only_b:true ~both:B a b
+let intersect a b = merge ~only_a:false ~only_b:false ~both:A a b
+let except a b = merge ~only_a:true ~only_b:false ~both:Neither a b
 
 let contains_node ns n = List.exists (Node.same n) ns
 
 (* Maximal nodes of a set: drop any node contained in another node of the
    set. Used by pass-by-fragment to avoid serializing a shipped node that is
-   a descendant of another shipped node. *)
+   a descendant of another shipped node. In document order the nodes a
+   node contains follow it as one run, so a single scan drops them. *)
 let maximal ns =
-  let ns = sort_dedup ns in
-  let rec keep = function
-    | [] -> []
-    | n :: rest ->
-      (* sorted by document order: a containing ancestor appears before its
-         descendants, so filter the tail against n *)
-      let rest = List.filter (fun m -> not (Node.contains n m)) rest in
-      n :: keep rest
+  let rec keep acc = function
+    | [] -> List.rev acc
+    | n :: rest -> keep (n :: acc) (drop n rest)
+  and drop n = function
+    | m :: rest when Node.contains n m -> drop n rest
+    | rest -> rest
   in
-  keep ns
+  keep [] (sort_dedup ns)
 
 (* Lowest common ancestor of a non-empty set of nodes of one document. *)
 let lowest_common_ancestor ns =

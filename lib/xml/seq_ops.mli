@@ -2,6 +2,12 @@
 
 val sort : Node.t list -> Node.t list
 val sort_dedup : Node.t list -> Node.t list
+(** Document order without duplicates. Input that is already strictly
+    increasing is returned as it is, after one linear check. *)
+
+(** The node-set operators: one merge of the two operands after
+    {!sort_dedup}. *)
+
 val union : Node.t list -> Node.t list -> Node.t list
 val intersect : Node.t list -> Node.t list -> Node.t list
 val except : Node.t list -> Node.t list -> Node.t list

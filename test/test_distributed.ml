@@ -325,6 +325,36 @@ let test_cost_model_updates_pinned () =
   check_bool "updating query pinned to function shipping"
     (Xd_core.Cost.choose net q <> S.Data_shipping)
 
+let test_cost_model_sees_updates () =
+  (* document sizes are memoised per document version: an update installs
+     a new document, and the next estimate must price that one *)
+  let net = Xd_xrpc.Network.create () in
+  let client = Xd_xrpc.Network.new_peer net "client" in
+  let a = Xd_xrpc.Network.new_peer net "peerA" in
+  ignore (Xd_xrpc.Peer.load_xml a ~doc_name:"d.xml" "<r><x>1</x></r>");
+  let q =
+    Xd_lang.Parser.parse_query
+      {|count(doc("xrpc://peerA/d.xml")/child::r/child::x)|}
+  in
+  let fetched () =
+    (Xd_core.Cost.estimate net (Xd_core.Decompose.decompose S.Data_shipping q))
+      .Xd_core.Cost.fetched_bytes
+  in
+  let doc_bytes () =
+    Xd_xml.Serializer.doc_bytes (Option.get (Xd_xrpc.Peer.find_doc a "d.xml"))
+  in
+  let before = fetched () in
+  check_int "estimate prices the document" (doc_bytes ()) before;
+  let long = String.make 500 'z' in
+  ignore
+    (E.run net ~client S.By_projection
+       (Xd_lang.Parser.parse_query
+          (Printf.sprintf
+             {|replace value of node doc("xrpc://peerA/d.xml")/child::r/child::x with "%s"|}
+             long)));
+  check_int "estimate prices the updated document" (doc_bytes ()) (fetched ());
+  check_int "the update grew the estimate" (before + 499) (fetched ())
+
 let test_bulk_saves_bytes () =
   (* session caching (= bulk RPC wire behaviour) must reduce bytes on a
      loop-nested call that re-ships the same parameter *)
@@ -411,6 +441,7 @@ let () =
           tc "ranking matches measurement" test_cost_model_ranking;
           tc "tiny docs" test_cost_model_tiny_docs;
           tc "updates pinned" test_cost_model_updates_pinned;
+          tc "sizes follow updates" test_cost_model_sees_updates;
         ] );
       ( "topology",
         [

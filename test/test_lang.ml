@@ -390,6 +390,205 @@ let prop_steps_sorted_dedup =
       in
       ok nodes)
 
+(* ---- document order: a differential harness ------------------------------
+
+   Path steps and the node-set operators against references that share
+   nothing with them: axes from parent links alone, node tests by
+   [List.filter], and order by polymorphic [compare] on the tuple key
+   document order was first defined by. The data is two registered
+   documents plus a [Store.replace_doc] successor of the first, which
+   shares its document id; contexts are unsorted, duplicated, and mix
+   tree and attribute nodes of all three. *)
+
+module Ast = Xd_lang.Ast
+
+let tuple_key (n : X.Node.t) =
+  (n.doc.X.Doc.did, n.idx, (if n.attr >= 0 then 1 else 0), n.attr)
+
+(* stable sort; of equal nodes keep the last, as the evaluator always has *)
+let ref_sort_dedup ns =
+  let sorted =
+    List.stable_sort (fun a b -> compare (tuple_key a) (tuple_key b)) ns
+  in
+  let rec dedup = function
+    | a :: (b :: _ as rest) ->
+      if tuple_key a = tuple_key b then dedup rest else a :: dedup rest
+    | rest -> rest
+  in
+  dedup sorted
+
+(* [below d anc i]: tree node [i] is a proper descendant of [anc] *)
+let rec below (d : X.Doc.t) anc i =
+  let p = d.X.Doc.parent.(i) in
+  p >= 0 && (p = anc || below d anc p)
+
+let ref_axis axis (n : X.Node.t) =
+  let d = n.doc and i = n.idx and is_attr = n.attr >= 0 in
+  let parent = d.X.Doc.parent in
+  let tree keep =
+    List.filter
+      (fun (m : X.Node.t) -> keep m.idx)
+      (List.init (X.Doc.n_nodes d) (X.Node.of_tree d))
+  in
+  (* for an attribute, [i] is its owner, which is also its parent *)
+  let ancestors () =
+    tree (fun j -> below d j i) @ if is_attr then [ X.Node.of_tree d i ] else []
+  in
+  let siblings keep =
+    if is_attr then []
+    else tree (fun j -> j <> i && parent.(j) = parent.(i) && keep j)
+  in
+  match axis with
+  | Ast.Self -> [ n ]
+  | Ast.Child -> if is_attr then [] else tree (fun j -> parent.(j) = i)
+  | Ast.Descendant -> if is_attr then [] else tree (below d i)
+  | Ast.Descendant_or_self ->
+    if is_attr then [ n ] else tree (fun j -> j = i || below d i j)
+  | Ast.Attribute ->
+    if is_attr then []
+    else
+      List.filter
+        (fun (a : X.Node.t) -> a.idx = i)
+        (List.init (X.Doc.n_attrs d) (X.Node.of_attr d))
+  | Ast.Parent ->
+    if is_attr then [ X.Node.of_tree d i ] else tree (fun j -> parent.(i) = j)
+  | Ast.Ancestor -> ancestors ()
+  | Ast.Ancestor_or_self -> ancestors () @ [ n ]
+  | Ast.Following_sibling -> siblings (fun j -> j > i)
+  | Ast.Preceding_sibling -> siblings (fun j -> j < i)
+  (* an attribute's following and preceding are its owner's *)
+  | Ast.Following -> tree (fun j -> j > i && not (below d i j))
+  | Ast.Preceding -> tree (fun j -> j < i && not (below d j i))
+
+let ref_step axis test ctx =
+  let per_node n =
+    List.filter (Xd_lang.Eval.test_matches axis test) (ref_axis axis n)
+  in
+  ref_sort_dedup (List.concat_map per_node ctx)
+
+(* [a] contains [m]: the same node, or [a] is a tree node and [m] (or, for
+   an attribute, its owner) is [a] or below it in [a]'s document *)
+let ref_contains (a : X.Node.t) (m : X.Node.t) =
+  tuple_key a = tuple_key m
+  || a.attr < 0
+     && a.doc.X.Doc.did = m.doc.X.Doc.did
+     && m.idx < X.Doc.n_nodes a.doc
+     && (m.idx = a.idx || below a.doc a.idx m.idx)
+
+let ref_member n ns = List.exists (fun m -> tuple_key m = tuple_key n) ns
+
+let ref_maximal ns =
+  let rec keep = function
+    | [] -> []
+    | n :: rest ->
+      n :: keep (List.filter (fun m -> not (ref_contains n m)) rest)
+  in
+  keep (ref_sort_dedup ns)
+
+let all_axes =
+  Ast.
+    [
+      Child; Descendant; Descendant_or_self; Self; Attribute; Parent; Ancestor;
+      Ancestor_or_self; Following; Following_sibling; Preceding;
+      Preceding_sibling;
+    ]
+
+(* Nodes identical down to the physical document version. *)
+let same_nodes got want =
+  List.length got = List.length want
+  && List.for_all2
+       (fun (m : X.Node.t) (n : X.Node.t) ->
+         m.doc == n.doc && m.idx = n.idx && m.attr = n.attr)
+       got want
+
+let show_nodes ns =
+  String.concat " " (List.map (Fmt.to_to_string X.Node.pp) ns)
+
+let agree what got want =
+  same_nodes got want
+  || QCheck.Test.fail_reportf "%s:@ got  [%s]@ want [%s]" what (show_nodes got)
+       (show_nodes want)
+
+(* every tree and attribute node of the first document, its successor and
+   the second document *)
+let order_pool (t1, t2, t3) =
+  let st = store () in
+  let doc t = X.Doc.of_tree ~uri:"a.xml" (root_of_tree t) in
+  let a = X.Store.add st (doc t1) in
+  let b = X.Store.add st (X.Doc.of_tree ~uri:"b.xml" (root_of_tree t2)) in
+  let a' = X.Store.replace_doc st a (doc t3) in
+  let nodes d =
+    List.init (X.Doc.n_nodes d) (X.Node.of_tree d)
+    @ List.init (X.Doc.n_attrs d) (X.Node.of_attr d)
+  in
+  Array.of_list (nodes a @ nodes a' @ nodes b)
+
+let arb_order_case =
+  let open QCheck.Gen in
+  let tree = sized_size (int_bound 24) sized_tree in
+  let picks = pair (list_size (int_bound 12) nat) bool in
+  let print_tree = Option.get arb_tree.QCheck.print in
+  QCheck.make
+    ~print:(fun ((t1, t2, t3), (pa, sa), (pb, sb), name) ->
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Printf.sprintf
+        "a=%s\nb=%s\na'=%s\nctx=[%s] sorted=%b\nother=[%s] sorted=%b\nname=%s"
+        (print_tree t1) (print_tree t2) (print_tree t3) (ints pa) sa (ints pb)
+        sb name)
+    (quad (triple tree tree tree) picks picks (oneofl [ "a"; "b"; "id"; "k" ]))
+
+let prop_document_order =
+  qtest ~count:1000
+    "steps and node-set operators match the tuple-key reference" arb_order_case
+    (fun (trees, (pa, sa), (pb, sb), name) ->
+      let pool = order_pool trees in
+      let pick (picks, sorted) =
+        let ns = List.map (fun i -> pool.(i mod Array.length pool)) picks in
+        if sorted then ref_sort_dedup ns else ns
+      in
+      let ctx = pick (pa, sa) and other = pick (pb, sb) in
+      let tests =
+        Ast.
+          [
+            Name_test name; Wildcard; Kind_node; Kind_text; Kind_attribute None;
+          ]
+      in
+      List.iter
+        (fun axis ->
+          List.iter
+            (fun test ->
+              ignore
+                (agree
+                   (Printf.sprintf "step %s::%s" (Xd_lang.Pp.axis_name axis)
+                      (Xd_lang.Pp.node_test_name test))
+                   (Xd_lang.Eval.eval_step axis test ctx)
+                   (ref_step axis test ctx)))
+            tests)
+        all_axes;
+      List.iter
+        (fun m ->
+          List.iter
+            (fun n ->
+              let want = compare (tuple_key m) (tuple_key n) in
+              if
+                Int.compare (X.Node.compare_order m n) 0 <> Int.compare want 0
+                || X.Node.same m n <> (want = 0)
+              then
+                QCheck.Test.fail_reportf "order of %s and %s" (show_nodes [ m ])
+                  (show_nodes [ n ]))
+            other)
+        ctx;
+      let module S = X.Seq_ops in
+      agree "sort_dedup" (S.sort_dedup ctx) (ref_sort_dedup ctx)
+      && agree "union" (S.union ctx other) (ref_sort_dedup (ctx @ other))
+      && agree "intersect" (S.intersect ctx other)
+           (List.filter (fun n -> ref_member n other) (ref_sort_dedup ctx))
+      && agree "except" (S.except ctx other)
+           (List.filter
+              (fun n -> not (ref_member n other))
+              (ref_sort_dedup ctx))
+      && agree "maximal" (S.maximal ctx) (ref_maximal ctx))
+
 let () =
   Alcotest.run "xd_lang"
     [
@@ -453,5 +652,10 @@ let () =
       ( "errors",
         [ tc "dynamic" test_dynamic_errors; tc "parse" test_parse_errors ] );
       ( "properties",
-        [ prop_arith_matches_ocaml; prop_count_of_seq; prop_steps_sorted_dedup ] );
+        [
+          prop_arith_matches_ocaml;
+          prop_count_of_seq;
+          prop_steps_sorted_dedup;
+          prop_document_order;
+        ] );
     ]

@@ -27,6 +27,39 @@ let test_atom_to_double () =
   check_bool "untyped garbage is NaN" (Float.is_nan (V.atom_to_double (u "zz")));
   check_bool "booleans" (V.atom_to_double (b true) = 1.0)
 
+(* Text casts to xs:double through its lexical space only: OCaml's wider
+   float syntax (hex, underscores, inf/nan spellings) is NaN. *)
+let test_double_lexical_space () =
+  let cast s = V.atom_to_double (u s) in
+  List.iter
+    (fun (s, f) -> check_bool (Printf.sprintf "%S casts" s) (cast s = f))
+    [
+      ("16", 16.); ("-3", -3.); ("+3", 3.); ("2.5", 2.5); (".5", 0.5);
+      ("5.", 5.); ("1e3", 1000.); ("1.5E-1", 0.15); ("-.5e+2", -50.);
+      ("\t7\n", 7.); ("\r 8 ", 8.); ("INF", Float.infinity);
+      ("+INF", Float.infinity); ("-INF", Float.neg_infinity);
+    ];
+  List.iter
+    (fun s -> check_bool (Printf.sprintf "%S is NaN" s) (Float.is_nan (cast s)))
+    [
+      "NaN"; "0x10"; "1_000"; "_1"; "inf"; "infinity"; "-inf"; "nan"; "Inf";
+      "abc"; ""; " "; "."; "-"; "+"; "1e"; "e5"; "1e+"; "1.2.3"; "1 2";
+      "\0121"; "1\012"; "++1"; "0x1p3";
+    ];
+  let st = store () in
+  List.iter
+    (fun (q, want) -> check_string q want (eval_str st q))
+    [
+      ({|element a {"0x10"} = 16|}, "false");
+      ({|element a {"0x10"} + 1|}, "nan");
+      ({|element a {"1_000"} = 1000|}, "false");
+      ({|element a {"infinity"} > 1000|}, "false");
+      ({|element a {"abc"} = 1|}, "false");
+      ({|element a {"abc"} + 1|}, "nan");
+      ({|element a {" 1e3 "} + 1|}, "1001");
+      ({|element a {"INF"} > 1000|}, "true");
+    ]
+
 (* ---- general comparison --------------------------------------------------- *)
 
 let test_promotion_rules () =
@@ -164,7 +197,11 @@ let () =
   Alcotest.run "xd_value"
     [
       ( "atoms",
-        [ tc "to_string" test_atom_to_string; tc "to_double" test_atom_to_double ] );
+        [
+          tc "to_string" test_atom_to_string;
+          tc "to_double" test_atom_to_double;
+          tc "double lexical space" test_double_lexical_space;
+        ] );
       ( "comparison",
         [
           tc "promotion" test_promotion_rules;

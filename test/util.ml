@@ -28,13 +28,13 @@ let eval_on_doc ?(uri = "test.xml") doc_xml q =
 
 let names ns = List.map X.Node.name ns
 
-(* QCheck: random XML trees. *)
-let gen_tree =
+(* QCheck: random XML trees, of a given size or of QCheck's default. *)
+let sized_tree =
   let open QCheck.Gen in
   let tag = oneofl [ "a"; "b"; "c"; "d"; "e" ] in
   let attr = oneofl [ []; [ ("id", "x1") ]; [ ("k", "v"); ("id", "y2") ] ] in
   let text = oneofl [ "t"; "hello"; "42"; "x<y&z" ] in
-  sized @@ fix (fun self n ->
+  fix (fun self n ->
       if n <= 0 then map (fun t -> X.Doc.T t) text
       else
         frequency
@@ -46,6 +46,8 @@ let gen_tree =
                 tag attr
                 (list_size (int_bound 4) (self (n / 2))) );
           ])
+
+let gen_tree = QCheck.Gen.sized sized_tree
 
 let arb_tree =
   let rec print = function
