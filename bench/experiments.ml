@@ -847,9 +847,9 @@ let write_overload_json ~path rows =
 (* ---- codec: compiled wire-shape codecs — shred/serialize fast paths ------- *)
 
 (* The ablation of the static wire-shape analysis: every workload runs
-   codec-off (generic XML writer + tree-parse shred) and codec-on
-   (compiled string-builder encoders, flat atomic decoders, event-based
-   shredding) on identical fresh networks. The wire must be
+   codec-off (generic XML writer + the one message reader,
+   Message.parse) and codec-on (compiled string-builder encoders, flat
+   atomic decoders) on identical fresh networks. The wire must be
    byte-identical and the values deep-equal — the codecs only buy time,
    never bytes. Timing buckets are wall-clock, so each workload is
    iterated and summed; the headline number is the shred speedup on the
@@ -905,9 +905,9 @@ let codec_workloads =
         execute at {"peer1"} function ($n := $n)
           { count(doc("xrpc://peer1/xmk.xml")
                   /descendant::person[descendant::age < $n]) }|} );
-    (* node-sequence response: the decoder bails to the generic path, but
-       the event shredder still routes every <copy> subtree straight
-       into the store during the one response parse *)
+    (* node-sequence response: the decoder bails to the generic reader,
+       which routes every <copy> subtree straight into the store during
+       the one response parse — with or without a codec *)
     ( "node response",
       4,
       {|execute at {"peer1"} function ()

@@ -100,9 +100,11 @@ let no_parallel_arg =
 
 let no_codec_arg =
   let doc =
-    "Disable the compiled wire-shape codecs: every message is written and \
-     shredded by the generic paths. The wire is byte-identical either \
-     way; this is the ablation baseline for 'bench codec'."
+    "Disable the compiled wire-shape codecs: requests with atomic \
+     parameters are written by the generic writer and atomic responses \
+     are read by the one message reader, which reads every other message \
+     either way. The wire is byte-identical either way; this is the \
+     ablation baseline for 'bench codec'."
   in
   Arg.(value & flag & info [ "no-codec" ] ~doc)
 
@@ -462,7 +464,14 @@ let run docs strategy explain stats code_motion types effects shapes
             | Some p -> p
             | None -> Xd_xrpc.Network.new_peer net host
         in
-        ignore (Xd_xrpc.Peer.load_xml peer ~doc_name:name (read_file file))
+        match Xd_xrpc.Peer.load_xml peer ~doc_name:name (read_file file) with
+        | _ -> ()
+        | exception Xd_xml.Parser.Error (msg, pos) ->
+          Printf.eprintf "xdxq: %s: XML error at byte %d: %s\n" file pos msg;
+          exit 1
+        | exception Sys_error msg ->
+          Printf.eprintf "xdxq: %s\n" msg;
+          exit 1
     in
     List.iter load docs;
     match Xd_lang.Parser.parse_query src with

@@ -44,7 +44,7 @@ type timing = {
   retry_budget_stops : int; (* retries skipped on a spent budget *)
   codec_compiled : int; (* requests emitted by a compiled encoder *)
   codec_decodes : int; (* responses read by a compiled decoder *)
-  codec_event_shreds : int; (* subtrees shredded by the event fast path *)
+  codec_event_shreds : int; (* subtrees built while their message was read *)
   codec_bailouts : int; (* compiled attempts that fell back to generic *)
 }
 

@@ -56,7 +56,9 @@ type timing = {
   codec_decodes : int;
       (** responses read by a compiled atomic-response decoder *)
   codec_event_shreds : int;
-      (** fragment/copy subtrees shredded by the event fast path *)
+      (** fragment/copy subtrees built straight into pre-order arrays
+          while their message was read ({!Xd_xrpc.Message.parse}); counted
+          with or without a codec *)
   codec_bailouts : int;
       (** compiled-codec attempts that fell back to the generic path *)
 }
@@ -149,11 +151,13 @@ val run_plan :
 
     [codec] (default true) runs the wire-shape analysis
     ({!Xd_shape.Shape.analyze}) over the plan, compiles per-call-site
-    codecs from the descriptors ({!Xd_xrpc.Codec.compile}), has the
-    verifier re-derive and vet every descriptor, and installs the codecs
-    in the session. The wire stays byte-identical either way — compiled
-    paths are strict specializations with generic fallback —
-    so [~codec:false] is the ablation baseline for [bench codec].
+    request encoders and atomic-response decoders from the descriptors
+    ({!Xd_xrpc.Codec.compile}), has the verifier re-derive and vet every
+    descriptor, and installs the codecs in the session. The wire stays
+    byte-identical either way — compiled paths are strict
+    specializations with generic fallback — so [~codec:false] is the
+    ablation baseline for [bench codec]. Every message is read the same
+    way with or without a codec ({!Xd_xrpc.Message.parse}).
 
     The prelude — overlap schedule, compiled codec, verifier report —
     is memoised on the physical plan, under the client's name,

@@ -43,189 +43,13 @@ let total_nodes d = n_nodes d + n_attrs d
 
 exception Malformed of string
 
+(* The document builder: the pre-order arrays grow in place and the
+   element stack is an int array of open pre indexes, so building costs
+   no per-node list cell, no final reverse pass and no attribute sort —
+   attributes arrive grouped by owner in pre-order by construction. *)
 module Builder = struct
-  type pending = {
-    p_kind : kind;
-    p_name : string;
-    p_idx : int;
-  }
-
   type b = {
     b_uri : string option;
-    mutable nodes_kind : kind list;
-    mutable nodes_name : string list;
-    mutable nodes_value : string list;
-    mutable nodes_parent : int list;
-    mutable count : int;
-    mutable sizes : (int * int) list; (* (idx, size), filled at close *)
-    mutable attrs : (int * string * string) list; (* owner, name, value *)
-    mutable stack : pending list;
-    mutable text_buf : Buffer.t option; (* coalesce adjacent text *)
-  }
-
-  let create ?uri () =
-    let b =
-      {
-        b_uri = uri;
-        nodes_kind = [];
-        nodes_name = [];
-        nodes_value = [];
-        nodes_parent = [];
-        count = 0;
-        sizes = [];
-        attrs = [];
-        stack = [];
-        text_buf = None;
-      }
-    in
-    (* implicit document node at index 0 *)
-    b.nodes_kind <- [ Document ];
-    b.nodes_name <- [ "" ];
-    b.nodes_value <- [ "" ];
-    b.nodes_parent <- [ -1 ];
-    b.count <- 1;
-    b.stack <- [ { p_kind = Document; p_name = ""; p_idx = 0 } ];
-    b
-
-  let current_parent b =
-    match b.stack with
-    | [] -> raise (Malformed "builder: no open node")
-    | p :: _ -> p.p_idx
-
-  let push_node b kind name value =
-    let idx = b.count in
-    b.nodes_kind <- kind :: b.nodes_kind;
-    b.nodes_name <- name :: b.nodes_name;
-    b.nodes_value <- value :: b.nodes_value;
-    b.nodes_parent <- current_parent b :: b.nodes_parent;
-    b.count <- idx + 1;
-    idx
-
-  let flush_text b =
-    match b.text_buf with
-    | None -> ()
-    | Some buf ->
-      b.text_buf <- None;
-      let s = Buffer.contents buf in
-      if s <> "" then begin
-        let idx = push_node b Text "" s in
-        b.sizes <- (idx, 0) :: b.sizes
-      end
-
-  let start_element b name attrs =
-    flush_text b;
-    let idx = push_node b Element name "" in
-    List.iter (fun (an, av) -> b.attrs <- (idx, an, av) :: b.attrs) attrs;
-    b.stack <- { p_kind = Element; p_name = name; p_idx = idx } :: b.stack
-
-  (* pre-order index of the innermost open node (the document node when
-     no element is open) — lets a streaming consumer key side tables by
-     the index an element will occupy in the finished document *)
-  let current_index b = current_parent b
-
-  let end_element b =
-    flush_text b;
-    match b.stack with
-    | { p_kind = Element; p_idx; _ } :: rest ->
-      b.sizes <- (p_idx, b.count - p_idx - 1) :: b.sizes;
-      b.stack <- rest
-    | _ -> raise (Malformed "builder: end_element without matching start")
-
-  let text b s =
-    if s <> "" then begin
-      let buf =
-        match b.text_buf with
-        | Some buf -> buf
-        | None ->
-          let buf = Buffer.create 32 in
-          b.text_buf <- Some buf;
-          buf
-      in
-      Buffer.add_string buf s
-    end
-
-  let comment b s =
-    flush_text b;
-    let idx = push_node b Comment "" s in
-    b.sizes <- (idx, 0) :: b.sizes
-
-  let pi b target data =
-    flush_text b;
-    let idx = push_node b Pi target data in
-    b.sizes <- (idx, 0) :: b.sizes
-
-  let finish b =
-    flush_text b;
-    (match b.stack with
-    | [ { p_kind = Document; _ } ] -> ()
-    | _ -> raise (Malformed "builder: unclosed elements at finish"));
-    let n = b.count in
-    let kind = Array.make n Document in
-    let name = Array.make n "" in
-    let value = Array.make n "" in
-    let parent = Array.make n (-1) in
-    let size = Array.make n 0 in
-    let fill lst arr =
-      let i = ref (n - 1) in
-      List.iter
-        (fun x ->
-          arr.(!i) <- x;
-          decr i)
-        lst
-    in
-    fill b.nodes_kind kind;
-    fill b.nodes_name name;
-    fill b.nodes_value value;
-    fill b.nodes_parent parent;
-    List.iter (fun (idx, sz) -> size.(idx) <- sz) b.sizes;
-    size.(0) <- n - 1;
-    (* attributes, grouped by owner in pre-order; within an owner the
-       original declaration order is kept. *)
-    let attrs = List.rev b.attrs in
-    let attrs = List.stable_sort (fun (o1, _, _) (o2, _, _) -> compare o1 o2) attrs in
-    let na = List.length attrs in
-    let attr_owner = Array.make na 0 in
-    let attr_name = Array.make na "" in
-    let attr_value = Array.make na "" in
-    List.iteri
-      (fun i (o, an, av) ->
-        attr_owner.(i) <- o;
-        attr_name.(i) <- an;
-        attr_value.(i) <- av)
-      attrs;
-    let attr_first = Array.make n (-1) in
-    let attr_count = Array.make n 0 in
-    for i = na - 1 downto 0 do
-      attr_first.(attr_owner.(i)) <- i;
-      attr_count.(attr_owner.(i)) <- attr_count.(attr_owner.(i)) + 1
-    done;
-    {
-      did = -1;
-      uri = b.b_uri;
-      kind;
-      name;
-      value;
-      parent;
-      size;
-      attr_owner;
-      attr_name;
-      attr_value;
-      attr_first;
-      attr_count;
-    }
-end
-
-(* Allocation-lean builder used by the XRPC event-shred fast path: the
-   pre-order arrays grow in place and the element stack of the decoding
-   state machine *is* an int array of open pre indexes — no per-node
-   list cells, no final reverse pass, no attribute sort (attributes
-   arrive grouped by owner in pre-order by construction). Given the
-   same call sequence it produces a document structurally identical to
-   {!Builder}'s (same arrays, same text coalescing) — a property the
-   differential tests pin. *)
-module Direct = struct
-  type b = {
-    d_uri : string option;
     mutable kind : kind array;
     mutable name : string array;
     mutable value : string array;
@@ -242,44 +66,47 @@ module Direct = struct
     mutable pending_text : bool;
   }
 
+  (* the implicit document node sits at index 0; its parent -1 is the
+     initial fill *)
   let create ?uri () =
-    let b =
-      {
-        d_uri = uri;
-        kind = Array.make 64 Document;
-        name = Array.make 64 "";
-        value = Array.make 64 "";
-        parent = Array.make 64 (-1);
-        size = Array.make 64 0;
-        count = 1;
-        a_owner = Array.make 16 0;
-        a_name = Array.make 16 "";
-        a_value = Array.make 16 "";
-        a_count = 0;
-        stack = Array.make 32 0;
-        depth = 1;
-        tbuf = Buffer.create 64;
-        pending_text = false;
-      }
-    in
-    (* implicit document node at index 0; parent -1 is the initial fill *)
-    b
+    {
+      b_uri = uri;
+      kind = Array.make 64 Document;
+      name = Array.make 64 "";
+      value = Array.make 64 "";
+      parent = Array.make 64 (-1);
+      size = Array.make 64 0;
+      count = 1;
+      a_owner = Array.make 16 0;
+      a_name = Array.make 16 "";
+      a_value = Array.make 16 "";
+      a_count = 0;
+      stack = Array.make 32 0;
+      depth = 1;
+      tbuf = Buffer.create 64;
+      pending_text = false;
+    }
+
+  (* [a], full at [cap], copied into twice the room *)
+  let grown a cap fill =
+    let a' = Array.make (2 * cap) fill in
+    Array.blit a 0 a' 0 cap;
+    a'
 
   let grow_nodes b =
     let cap = Array.length b.kind in
     if b.count = cap then begin
-      let n = cap * 2 in
-      let g a fill =
-        let a' = Array.make n fill in
-        Array.blit a 0 a' 0 cap;
-        a'
-      in
-      b.kind <- g b.kind Document;
-      b.name <- g b.name "";
-      b.value <- g b.value "";
-      b.parent <- g b.parent (-1);
-      b.size <- g b.size 0
+      b.kind <- grown b.kind cap Document;
+      b.name <- grown b.name cap "";
+      b.value <- grown b.value cap "";
+      b.parent <- grown b.parent cap (-1);
+      b.size <- grown b.size cap 0
     end
+
+  (* pre-order index of the innermost open node (the document node when
+     no element is open) — lets a streaming consumer key side tables by
+     the index an element will occupy in the finished document *)
+  let current_index b = b.stack.(b.depth - 1)
 
   let push_node b kind name value =
     grow_nodes b;
@@ -287,7 +114,7 @@ module Direct = struct
     b.kind.(idx) <- kind;
     b.name.(idx) <- name;
     b.value.(idx) <- value;
-    b.parent.(idx) <- b.stack.(b.depth - 1);
+    b.parent.(idx) <- current_index b;
     b.count <- idx + 1;
     idx
 
@@ -307,26 +134,17 @@ module Direct = struct
       (fun (an, av) ->
         let cap = Array.length b.a_owner in
         if b.a_count = cap then begin
-          let n = cap * 2 in
-          let g a fill =
-            let a' = Array.make n fill in
-            Array.blit a 0 a' 0 cap;
-            a'
-          in
-          b.a_owner <- g b.a_owner 0;
-          b.a_name <- g b.a_name "";
-          b.a_value <- g b.a_value ""
+          b.a_owner <- grown b.a_owner cap 0;
+          b.a_name <- grown b.a_name cap "";
+          b.a_value <- grown b.a_value cap ""
         end;
         b.a_owner.(b.a_count) <- idx;
         b.a_name.(b.a_count) <- an;
         b.a_value.(b.a_count) <- av;
         b.a_count <- b.a_count + 1)
       attrs;
-    if b.depth = Array.length b.stack then begin
-      let s' = Array.make (b.depth * 2) 0 in
-      Array.blit b.stack 0 s' 0 b.depth;
-      b.stack <- s'
-    end;
+    if b.depth = Array.length b.stack then
+      b.stack <- grown b.stack b.depth 0;
     b.stack.(b.depth) <- idx;
     b.depth <- b.depth + 1
 
@@ -334,7 +152,7 @@ module Direct = struct
     flush_text b;
     if b.depth <= 1 then
       raise (Malformed "builder: end_element without matching start");
-    let idx = b.stack.(b.depth - 1) in
+    let idx = current_index b in
     b.depth <- b.depth - 1;
     b.size.(idx) <- b.count - idx - 1
 
@@ -369,7 +187,7 @@ module Direct = struct
     done;
     {
       did = -1;
-      uri = b.d_uri;
+      uri = b.b_uri;
       kind = sub b.kind;
       name = sub b.name;
       value = sub b.value;
@@ -391,20 +209,6 @@ type tree =
   | C of string
   | P of string * string
 
-let of_tree ?uri t =
-  let b = Builder.create ?uri () in
-  let rec go = function
-    | E (name, attrs, children) ->
-      Builder.start_element b name attrs;
-      List.iter go children;
-      Builder.end_element b
-    | T s -> Builder.text b s
-    | C s -> Builder.comment b s
-    | P (target, data) -> Builder.pi b target data
-  in
-  go t;
-  Builder.finish b
-
 let of_forest ?uri ts =
   let b = Builder.create ?uri () in
   let rec go = function
@@ -418,3 +222,5 @@ let of_forest ?uri ts =
   in
   List.iter go ts;
   Builder.finish b
+
+let of_tree ?uri t = of_forest ?uri [ t ]

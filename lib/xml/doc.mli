@@ -40,14 +40,21 @@ val id : t -> int
 
 exception Malformed of string
 
-(** Imperative SAX-style document builder. Adjacent text is coalesced and
-    empty text nodes are dropped, per the XDM. *)
+(** Imperative SAX-style document builder — the one way every document
+    is made (parsed, shredded from a message, rebuilt by an update,
+    projected, constructed). The pre-order arrays grow in place and the
+    element stack is an int array of open pre indexes; attributes need no
+    sort because they arrive grouped by owner in pre-order. Adjacent text
+    is coalesced and empty text nodes are dropped, per the XDM. *)
 module Builder : sig
   type b
 
   val create : ?uri:string -> unit -> b
   val start_element : b -> string -> (string * string) list -> unit
+
   val end_element : b -> unit
+  (** @raise Malformed when no element is open. *)
+
   val text : b -> string -> unit
   val comment : b -> string -> unit
   val pi : b -> string -> string -> unit
@@ -59,27 +66,7 @@ module Builder : sig
 
   val finish : b -> t
   (** Freeze into a document. The result has [did = -1] until registered
-      with {!Store.add}. @raise Malformed on unbalanced elements. *)
-end
-
-(** Allocation-lean array builder used by the XRPC event-shred fast
-    path: pre-order arrays grown in place, the element stack is an int
-    array of open pre indexes, attributes need no sort because they
-    arrive grouped by owner in pre-order. Same call sequence, same
-    coalescing rules, structurally identical result to {!Builder}. *)
-module Direct : sig
-  type b
-
-  val create : ?uri:string -> unit -> b
-  val start_element : b -> string -> (string * string) list -> unit
-  val end_element : b -> unit
-  val text : b -> string -> unit
-  val comment : b -> string -> unit
-  val pi : b -> string -> string -> unit
-
-  val finish : b -> t
-  (** Freeze into a document ([did = -1]).
-      @raise Malformed on unbalanced elements. *)
+      with {!Store.add}. @raise Malformed when an element is still open. *)
 end
 
 (** Declarative tree description, convenient in tests and generators. *)
@@ -89,5 +76,8 @@ type tree =
   | C of string
   | P of string * string
 
-val of_tree : ?uri:string -> tree -> t
 val of_forest : ?uri:string -> tree list -> t
+(** One document holding the trees in order, under its document node. *)
+
+val of_tree : ?uri:string -> tree -> t
+(** [of_forest [t]]. *)

@@ -4,10 +4,11 @@
    DOCTYPE declarations are skipped; namespace prefixes are kept as part
    of the name.
 
-   Both the tree-building {!Parser} and the XRPC codec's streaming shred
-   fast path sit on this core, so the two necessarily accept and reject
-   exactly the same byte strings — the property the malformed-message
-   fault tests pin.
+   Documents ({!Parser}) and XRPC messages (Xd_xrpc.Message.parse, which
+   diverts fragment/copy content into its own documents as the events
+   arrive) are both read through this core, so they necessarily accept
+   and reject exactly the same byte strings — the property the
+   malformed-message fault tests pin. Both feed {!Doc.Builder}.
 
    Character data is scanned in bulk: a run without entity references is
    a single [String.sub], and entity-bearing runs fall back to a buffer
@@ -45,10 +46,17 @@ let expect st c =
   if peek st = c then advance st
   else fail st (Printf.sprintf "expected %C, found %C" c (peek st))
 
+(* [s] from its index [i] on equals [src] from [at + i] on, compared in
+   place; the caller has checked that [src] is long enough. *)
+let rec matches src at s i =
+  i = String.length s || (src.[at + i] = s.[i] && matches src at s (i + 1))
+
+(* Does [s] start at the current position? *)
+let looking_at st s =
+  st.pos + String.length s <= String.length st.src && matches st.src st.pos s 0
+
 let expect_str st s =
-  let n = String.length s in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = s then
-    st.pos <- st.pos + n
+  if looking_at st s then st.pos <- st.pos + String.length s
   else fail st (Printf.sprintf "expected %S" s)
 
 let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
@@ -73,6 +81,36 @@ let parse_name st =
   done;
   String.sub st.src start (st.pos - start)
 
+(* XML 1.0 [2] Char: the code points a character reference may name. *)
+let is_xml_char c =
+  c = 0x9 || c = 0xA || c = 0xD
+  || (c >= 0x20 && c <= 0xD7FF)
+  || (c >= 0xE000 && c <= 0xFFFD)
+  || (c >= 0x10000 && c <= 0x10FFFF)
+
+(* The code point of a character reference "#…" (between '&' and ';'),
+   per XML 1.0 [66]: '#' [0-9]+ or '#x' [0-9a-fA-F]+. The value stops
+   growing once it passes 0x10FFFF, so no digit run can overflow. *)
+let char_ref_code ent =
+  let n = String.length ent in
+  let hex = n > 1 && ent.[1] = 'x' in
+  let base = if hex then 16 else 10 in
+  let digit = function
+    | '0' .. '9' as c -> Char.code c - Char.code '0'
+    | 'a' .. 'f' as c when hex -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' as c when hex -> Char.code c - Char.code 'A' + 10
+    | _ -> -1
+  in
+  let rec go i code =
+    if i = n then if is_xml_char code then Some code else None
+    else
+      let d = digit ent.[i] in
+      if d < 0 then None
+      else go (i + 1) (if code > 0x10FFFF then code else (code * base) + d)
+  in
+  let first = if hex then 2 else 1 in
+  if n > first then go first 0 else None
+
 let parse_reference st buf =
   (* at '&' *)
   advance st;
@@ -89,36 +127,11 @@ let parse_reference st buf =
   | "amp" -> Buffer.add_char buf '&'
   | "apos" -> Buffer.add_char buf '\''
   | "quot" -> Buffer.add_char buf '"'
-  | _ ->
-    if String.length ent > 1 && ent.[0] = '#' then begin
-      let code =
-        try
-          if ent.[1] = 'x' || ent.[1] = 'X' then
-            int_of_string ("0x" ^ String.sub ent 2 (String.length ent - 2))
-          else int_of_string (String.sub ent 1 (String.length ent - 1))
-        with Failure _ -> fail st ("bad character reference &" ^ ent ^ ";")
-      in
-      if code < 0 || code > 0x10FFFF then
-        fail st ("bad character reference &" ^ ent ^ ";");
-      (* encode as UTF-8 *)
-      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else if code < 0x10000 then begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    end
-    else fail st ("unknown entity &" ^ ent ^ ";")
+  | _ when String.length ent > 0 && ent.[0] = '#' -> (
+    match char_ref_code ent with
+    | None -> fail st ("bad character reference &" ^ ent ^ ";")
+    | Some code -> Buffer.add_utf_8_uchar buf (Uchar.of_int code))
+  | _ -> fail st ("unknown entity &" ^ ent ^ ";")
 
 (* Scan forward over plain attribute-value characters; stop at the
    quote, '&', '<' or end of input. *)
@@ -193,7 +206,7 @@ let skip_until st stop =
   let n = String.length stop in
   let rec loop () =
     if st.pos + n > String.length st.src then fail st ("expected " ^ stop)
-    else if String.sub st.src st.pos n = stop then st.pos <- st.pos + n
+    else if looking_at st stop then st.pos <- st.pos + n
     else begin
       advance st;
       loop ()
@@ -277,19 +290,13 @@ let rec parse_content st =
     match peek2 st with
     | '/' -> () (* end tag: caller handles *)
     | '!' ->
-      if
-        st.pos + 3 < String.length st.src
-        && String.sub st.src st.pos 4 = "<!--"
-      then begin
+      if looking_at st "<!--" then begin
         st.pos <- st.pos + 4;
         let c = read_until st "-->" in
         st.h.comment c;
         parse_content st
       end
-      else if
-        st.pos + 8 < String.length st.src
-        && String.sub st.src st.pos 9 = "<![CDATA["
-      then begin
+      else if looking_at st "<![CDATA[" then begin
         st.pos <- st.pos + 9;
         let c = read_until st "]]>" in
         st.h.text c;
@@ -345,10 +352,7 @@ let parse_prolog st =
         skip_until st "?>";
         loop ()
       | '!' ->
-        if
-          st.pos + 3 < String.length st.src
-          && String.sub st.src st.pos 4 = "<!--"
-        then begin
+        if looking_at st "<!--" then begin
           st.pos <- st.pos + 4;
           skip_until st "-->";
           loop ()

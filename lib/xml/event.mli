@@ -1,13 +1,18 @@
 (** Event-based (SAX-style) XML parser — the single grammar core behind
-    both the tree-building {!Parser} and the XRPC codec's streaming
-    shred fast path. Because both sit on this core they accept and
-    reject exactly the same byte strings.
+    both document loading ({!Parser}) and XRPC message reading
+    ([Xd_xrpc.Message.parse]). Because both sit on this core they accept
+    and reject exactly the same byte strings.
 
     Supports elements, attributes, character data, CDATA, comments,
     processing instructions, the five predefined entities and numeric
     character references; DOCTYPE declarations are skipped; namespace
     prefixes are kept as part of the name. Attribute values containing
-    a raw ['<'] are rejected, per the XML well-formedness rules. *)
+    a raw ['<'] are rejected, per the XML well-formedness rules. A
+    character reference must follow XML 1.0 production [66] —
+    [&#] decimal digits [;] or [&#x] hex digits [;] — and name a code
+    point in the [Char] range (#x9, #xA, #xD, #x20–#xD7FF,
+    #xE000–#xFFFD, #x10000–#x10FFFF); anything else is an {!Error}
+    ["bad character reference …"]. *)
 
 exception Error of string * int
 (** Parse failure: message and byte offset. *)

@@ -1,9 +1,10 @@
-(* The tree-building XML parser: a thin shell over the {!Event} core
-   that streams events into a {!Doc.Builder}. The grammar — elements,
-   attributes, character data, CDATA, comments, processing
-   instructions, entities, numeric character references — lives
-   entirely in {!Event}, so this parser and the XRPC codec's event
-   shred fast path agree byte-for-byte on what they accept. *)
+(* The document parser: a thin shell over the {!Event} core that streams
+   events into a {!Doc.Builder}. The grammar — elements, attributes,
+   character data, CDATA, comments, processing instructions, entities,
+   numeric character references — lives entirely in {!Event}, so this
+   parser and the XRPC message reader (Xd_xrpc.Message.parse, the same
+   events into the same builder) agree byte-for-byte on what they
+   accept. *)
 
 exception Error = Event.Error
 

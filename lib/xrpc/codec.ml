@@ -1,8 +1,8 @@
 (* Compiled per-call-site message codecs, generated from the wire-shape
    descriptors of Xd_shape.Shape (à la XML::Compile's compileMessage).
 
-   Three specializations, all installed in Session *behind* the generic
-   path and all falling back to it — so compiled and generic wires are
+   Two specializations, both installed in Session *behind* the generic
+   path and both falling back to it — so compiled and generic wires are
    byte-identical by construction, and any runtime shape the analysis
    did not predict simply costs one `codec.bailouts` tick:
 
@@ -17,19 +17,10 @@
    - a response decoder for call sites whose response is provably
      atomic: an exact prefix/suffix match around a flat scan of
      <atomic> items. It accepts a strict subset of what the generic
-     parser accepts and agrees with it on every accepted byte string —
-     faults, forwards, txn attributes, trace headers and corruption all
-     miss the prefix and fall back;
+     reader (Message.parse) accepts and agrees with it on every accepted
+     byte string — faults, forwards, txn attributes, trace headers and
+     corruption all miss the prefix and fall back. *)
 
-   - an event shredder for everything else: the message is parsed once
-     with the streaming Event core, and fragment/copy subtree content
-     is diverted straight into Doc.Direct pre-order/size arrays as the
-     events arrive — the decoder state machine *is* the element stack —
-     leaving the protocol skeleton (with empty fragment/copy elements)
-     as the message document plus a side table of prebuilt content
-     documents keyed by the host element's pre-order index. *)
-
-module X = Xd_xml
 module Value = Xd_lang.Value
 module Ast = Xd_lang.Ast
 module Shape = Xd_shape.Shape
@@ -355,87 +346,3 @@ let decode_response rd text : Value.t option =
       match String.index_from_opt text plen '&' with Some a -> a | None -> -1
     in
     decode_items text plen (n - slen) ~amp []
-
-(* ---------------- event shred fast path ------------------------------- *)
-
-(* Is this element protocol-positioned subtree content we can divert?
-   Only exact protocol positions route — a user element that happens to
-   be named "fragment" or "copy" sits inside an already-routed subtree
-   (fragment content, copy content) and never reaches this check. *)
-let routable name parent attrs =
-  match (name, parent) with
-  | "fragment", "fragments" -> true
-  | "copy", "sequence" -> (
-    match List.assoc_opt "kind" attrs with
-    | Some ("element" | "document") -> true
-    | _ -> false)
-  | _ -> false
-
-type route = {
-  rb : X.Doc.Direct.b;
-  mutable rdepth : int;  (** open elements inside the routed subtree *)
-  ridx : int;  (** the host element's pre index in the message doc *)
-}
-
-let event_parse text : X.Doc.t * (int, X.Doc.t) Hashtbl.t =
-  let mb = X.Doc.Builder.create () in
-  let prebuilt = Hashtbl.create 8 in
-  let route = ref None in
-  let stack = ref [] in
-  let handler =
-    {
-      X.Event.start_element =
-        (fun name attrs ->
-          match !route with
-          | Some r ->
-            r.rdepth <- r.rdepth + 1;
-            X.Doc.Direct.start_element r.rb name attrs
-          | None ->
-            X.Doc.Builder.start_element mb name attrs;
-            let parent = match !stack with p :: _ -> p | [] -> "" in
-            if routable name parent attrs then
-              route :=
-                Some
-                  {
-                    rb =
-                      X.Doc.Direct.create ?uri:(List.assoc_opt "base-uri" attrs)
-                        ();
-                    rdepth = 0;
-                    ridx = X.Doc.Builder.current_index mb;
-                  }
-            else stack := name :: !stack);
-      end_element =
-        (fun _name ->
-          match !route with
-          | Some r ->
-            if r.rdepth = 0 then begin
-              Hashtbl.replace prebuilt r.ridx (X.Doc.Direct.finish r.rb);
-              route := None;
-              X.Doc.Builder.end_element mb
-            end
-            else begin
-              r.rdepth <- r.rdepth - 1;
-              X.Doc.Direct.end_element r.rb
-            end
-          | None ->
-            (match !stack with _ :: tl -> stack := tl | [] -> ());
-            X.Doc.Builder.end_element mb);
-      text =
-        (fun s ->
-          match !route with
-          | Some r -> X.Doc.Direct.text r.rb s
-          | None -> X.Doc.Builder.text mb s);
-      comment =
-        (fun s ->
-          match !route with
-          | Some r -> X.Doc.Direct.comment r.rb s
-          | None -> X.Doc.Builder.comment mb s);
-      pi =
-        (fun target data ->
-          match !route with
-          | Some r -> X.Doc.Direct.pi r.rb target data
-          | None -> X.Doc.Builder.pi mb target data);
-    }
-  in
-  X.Event.parse ~strip_ws:false handler text;
-  (X.Doc.Builder.finish mb, prebuilt)

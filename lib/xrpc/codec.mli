@@ -51,16 +51,7 @@ val find_resp : t -> int -> compiled_resp option
 
 val decode_response : compiled_resp -> string -> Xd_lang.Value.t option
 (** Exact prefix/suffix match around a flat scan of [<atomic>] items.
-    Accepts a strict subset of the generic parser's language and agrees
-    with it on every accepted string; faults, forwards, txn attributes
-    and trace headers miss the prefix and return [None]. *)
-
-(** {2 Event shred fast path} *)
-
-val event_parse : string -> Xd_xml.Doc.t * (int, Xd_xml.Doc.t) Hashtbl.t
-(** Parse a message with the streaming {!Xd_xml.Event} core, diverting
-    fragment/copy subtree content straight into {!Xd_xml.Doc.Direct}
-    builders as the events arrive. Returns the message document (with
-    the diverted elements left empty) and the prebuilt content documents
-    keyed by their host element's pre-order index — the [?prebuilt]
-    argument of {!Message.shred_fragments} / [shred_sequence]. *)
+    Accepts a strict subset of the language of the generic reader
+    ({!Message.parse}) and agrees with it on every accepted string;
+    faults, forwards, txn attributes and trace headers miss the prefix
+    and return [None]. *)

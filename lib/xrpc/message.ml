@@ -396,15 +396,23 @@ let write_catalog_ack ~epoch =
 let trace_header ~trace_id ~span_id =
   Printf.sprintf "<trace trace-id=\"%s\" span-id=\"%s\"/>" trace_id span_id
 
-(* Naive substring search; messages are one-shot and small enough. *)
-let find_sub text sub =
-  let n = String.length text and m = String.length sub in
+(* [sub] from its index [k] on equals [text] from [i + k] on, compared in
+   place; the caller has checked that [text] is long enough. *)
+let rec matches text i sub k =
+  k = String.length sub || (text.[i + k] = sub.[k] && matches text i sub (k + 1))
+
+(* Does [sub] occur in [text] at [i]? *)
+let sub_at text i sub =
+  i >= 0 && i + String.length sub <= String.length text && matches text i sub 0
+
+(* First index of [sub] in [text] at or after [from]: no allocation per
+   candidate position. *)
+let find_sub ?(from = 0) text sub =
+  let last = String.length text - String.length sub in
   let rec go i =
-    if i + m > n then None
-    else if String.sub text i m = sub then Some i
-    else go (i + 1)
+    if i > last then None else if matches text i sub 0 then Some i else go (i + 1)
   in
-  go 0
+  go (Stdlib.max 0 from)
 
 let body_open = "<env:Body>"
 
@@ -436,21 +444,13 @@ let peek_trace_header text =
     | None -> None
     | Some (trace_id, after) -> (
       let sep = " span-id=\"" in
-      let have_sep =
-        String.length text >= after + String.length sep
-        && String.sub text after (String.length sep) = sep
-      in
-      if not have_sep then None
+      if not (sub_at text after sep) then None
       else
         match quoted_value text (after + String.length sep) with
         | None -> None
         | Some (span_id, after) ->
-          let closed =
-            String.length text >= after + 2
-            && String.sub text after 2 = "/>"
-          in
           if
-            closed
+            sub_at text after "/>"
             && Xd_obs.Trace.valid_id trace_id
             && Xd_obs.Trace.valid_id span_id
           then Some (trace_id, span_id)
@@ -458,15 +458,6 @@ let peek_trace_header text =
 
 (* ---- deadline & retry-after wire fields (PROTOCOL.md, "Deadlines &
    overload") ---- *)
-
-let find_sub_from text from sub =
-  let n = String.length text and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub text i m = sub then Some i
-    else go (i + 1)
-  in
-  go (Stdlib.max 0 from)
 
 (* Re-stamp the (first, i.e. the envelope's own) deadline attribute with
    the budget remaining *now* — called once per send attempt, after the
@@ -508,7 +499,7 @@ let overload_ranges text =
   let collect marker width acc =
     let mlen = String.length marker in
     let rec go from acc =
-      match find_sub_from text from marker with
+      match find_sub ~from text marker with
       | None -> acc
       | Some i ->
         if overload_value_ok text (i + mlen) width then
@@ -909,41 +900,78 @@ let parse_catalog n =
     entries;
   Xd_topo.Catalog.of_parts ~epoch ~entries ~members
 
-(* Copy the children of a parsed message node into a fresh document. *)
-let copy_children_to_doc ?uri n =
-  let b = X.Doc.Builder.create ?uri () in
-  let rec go c =
-    match X.Node.kind c with
-    | X.Node.Element ->
-      let attrs =
-        List.map
-          (fun a -> (X.Node.name a, X.Node.string_value a))
-          (X.Node.attributes c)
-      in
-      X.Doc.Builder.start_element b (X.Node.name c) attrs;
-      List.iter go (X.Node.children c);
-      X.Doc.Builder.end_element b
-    | X.Node.Text -> X.Doc.Builder.text b (X.Node.string_value c)
-    | X.Node.Comment -> X.Doc.Builder.comment b (X.Node.string_value c)
-    | X.Node.Pi -> X.Doc.Builder.pi b (X.Node.name c) (X.Node.string_value c)
-    | X.Node.Document | X.Node.Attribute -> ()
-  in
-  List.iter go (X.Node.children n);
-  X.Doc.Builder.finish b
+(* ---- reading a message ---- *)
 
-(* The event shred fast path (Codec.event_parse) diverts fragment and
-   copy subtrees into side documents while the message itself is being
-   parsed, keyed by the pre-order index the host element occupies in
-   the message document. A shredder handed such a table uses the
-   prebuilt document instead of re-copying children node by node. *)
-let prebuilt_doc prebuilt n =
-  match prebuilt with
-  | None -> None
-  | Some tbl -> Hashtbl.find_opt tbl (X.Node.index n)
+(* Every message is read once, by the streaming Event core. Subtree
+   content at the two protocol positions that carry it — <fragment>
+   under <fragments>, and <copy kind="element|document"> under
+   <sequence> — is diverted into its own document builder as the events
+   arrive, so it lands straight in pre-order arrays with no intermediate
+   message-tree copy. Only exact protocol positions route: a user
+   element that happens to be named "fragment" or "copy" sits inside
+   already-routed content and never reaches this check. *)
+let routable name parent attrs =
+  match (name, parent) with
+  | "fragment", "fragments" -> true
+  | "copy", "sequence" -> (
+    match List.assoc_opt "kind" attrs with
+    | Some ("element" | "document") -> true
+    | _ -> false)
+  | _ -> false
+
+type parsed = { doc : X.Doc.t; prebuilt : (int, X.Doc.t) Hashtbl.t }
+
+let parse text =
+  let mb = X.Doc.Builder.create () in
+  let prebuilt = Hashtbl.create 8 in
+  (* the routed subtree being built, with its host element's pre index
+     in the message document; the host is the routed builder's only
+     open node when its own current index is back at the document *)
+  let route = ref None in
+  let names = ref [] in (* open element names outside routed content *)
+  let builder () = match !route with Some (rb, _) -> rb | None -> mb in
+  X.Event.parse ~strip_ws:false
+    {
+      X.Event.start_element =
+        (fun name attrs ->
+          match !route with
+          | Some (rb, _) -> X.Doc.Builder.start_element rb name attrs
+          | None ->
+            X.Doc.Builder.start_element mb name attrs;
+            let parent = match !names with p :: _ -> p | [] -> "" in
+            if routable name parent attrs then
+              route :=
+                Some
+                  ( X.Doc.Builder.create ?uri:(List.assoc_opt "base-uri" attrs) (),
+                    X.Doc.Builder.current_index mb )
+            else names := name :: !names);
+      end_element =
+        (fun _ ->
+          match !route with
+          | Some (rb, host) when X.Doc.Builder.current_index rb = 0 ->
+            Hashtbl.replace prebuilt host (X.Doc.Builder.finish rb);
+            route := None;
+            X.Doc.Builder.end_element mb
+          | Some (rb, _) -> X.Doc.Builder.end_element rb
+          | None ->
+            names := List.tl !names;
+            X.Doc.Builder.end_element mb);
+      text = (fun s -> X.Doc.Builder.text (builder ()) s);
+      comment = (fun s -> X.Doc.Builder.comment (builder ()) s);
+      pi = (fun target data -> X.Doc.Builder.pi (builder ()) target data);
+    }
+    text;
+  { doc = X.Doc.Builder.finish mb; prebuilt }
+
+(* The content of a routed <fragment> or <copy> of [msg]. *)
+let content msg n =
+  match Hashtbl.find_opt msg.prebuilt (X.Node.index n) with
+  | Some d -> d
+  | None -> protocol_error "<%s> outside its protocol position" (X.Node.name n)
 
 (* Shred the <fragments> section at an endpoint, registering provenance and
    origin entries. *)
-let shred_fragments ?prebuilt ep ~from_host fragments_node =
+let shred_fragments msg ep ~from_host fragments_node =
   match fragments_node with
   | None -> ()
   | Some fnode ->
@@ -955,12 +983,7 @@ let shred_fragments ?prebuilt ep ~from_host fragments_node =
           | [ a; b ] -> (int_of_string a, int_of_string b)
           | _ -> protocol_error "malformed okey %S" okey
         in
-        let uri = attr_of frag "base-uri" in
-        let doc =
-          match prebuilt_doc prebuilt frag with
-          | Some d -> d
-          | None -> copy_children_to_doc ?uri frag
-        in
+        let doc = content msg frag in
         let n_local = X.Doc.n_nodes doc in
         let omap =
           match attr_of frag "omap" with
@@ -999,7 +1022,7 @@ let shred_fragments ?prebuilt ep ~from_host fragments_node =
       (children_named fnode "fragment")
 
 (* Resolve one marshaled item at the receiver. *)
-let shred_item ?prebuilt ep ~from_host item : Value.t =
+let shred_item msg ep ~from_host item : Value.t =
   match X.Node.name item with
   | "atomic" ->
     let ty = req_attr item "type" in
@@ -1015,18 +1038,12 @@ let shred_item ?prebuilt ep ~from_host item : Value.t =
     [ Value.A a ]
   | "copy" -> (
     let store = Peer.store ep.self in
-    let uri = attr_of item "base-uri" in
-    let content_doc () =
-      match prebuilt_doc prebuilt item with
-      | Some d -> d
-      | None -> copy_children_to_doc ?uri item
-    in
     match req_attr item "kind" with
     | "element" ->
-      let doc = X.Store.add ~index_uri:false store (content_doc ()) in
+      let doc = X.Store.add ~index_uri:false store (content msg item) in
       [ Value.N (X.Node.of_tree doc 1) ]
     | "document" ->
-      let doc = X.Store.add ~index_uri:false store (content_doc ()) in
+      let doc = X.Store.add ~index_uri:false store (content msg item) in
       [ Value.N (X.Node.doc_node doc) ]
     | "text" ->
       let s = X.Node.string_value item in
@@ -1082,10 +1099,10 @@ let shred_item ?prebuilt ep ~from_host item : Value.t =
   | other ->
     protocol_error "unexpected item element <%s> in message" other
 
-let shred_sequence ?prebuilt ep ~from_host seq_node : Value.t =
+let shred_sequence msg ep ~from_host seq_node : Value.t =
   List.concat_map
     (fun c ->
       match X.Node.kind c with
-      | X.Node.Element -> shred_item ?prebuilt ep ~from_host c
+      | X.Node.Element -> shred_item msg ep ~from_host c
       | _ -> [])
     (X.Node.children seq_node)

@@ -287,21 +287,36 @@ val find_child : Xd_xml.Node.t -> string -> Xd_xml.Node.t option
 val children_named : Xd_xml.Node.t -> string -> Xd_xml.Node.t list
 val attr_of : Xd_xml.Node.t -> string -> string option
 val req_attr : Xd_xml.Node.t -> string -> string
-val copy_children_to_doc : ?uri:string -> Xd_xml.Node.t -> Xd_xml.Doc.t
+
+type parsed = {
+  doc : Xd_xml.Doc.t;
+      (** the message, with every routed element kept (attributes
+          included) but empty *)
+  prebuilt : (int, Xd_xml.Doc.t) Hashtbl.t;
+      (** routed content, keyed by its host element's pre-order index in
+          [doc] *)
+}
+
+val parse : string -> parsed
+(** Read a message — the one way every message is read. One pass of the
+    streaming {!Xd_xml.Event} core (whitespace kept) builds the message
+    document and diverts subtree content straight into its own document
+    as the events arrive. Content is routed at exactly two protocol
+    positions: [<fragment>] under [<fragments>], and
+    [<copy kind="element|document">] under [<sequence>]. A routed
+    element's [base-uri] attribute becomes its content document's URI.
+    @raise Xd_xml.Event.Error on malformed XML. *)
 
 val shred_fragments :
-  ?prebuilt:(int, Xd_xml.Doc.t) Hashtbl.t ->
-  endpoint -> from_host:string -> Xd_xml.Node.t option -> unit
-(** Parse a [<fragments>] section into fresh documents with origin-derived
-    ids, registering provenance and origin entries. [prebuilt] (from
-    [Codec.event_parse]) maps a fragment/copy element's pre-order index
-    in the message document to its content, already shredded during the
-    parse — when present it replaces the node-by-node child copy. *)
+  parsed -> endpoint -> from_host:string -> Xd_xml.Node.t option -> unit
+(** Register the [<fragments>] section of a parsed message as fresh
+    documents with origin-derived ids, recording provenance and origin
+    entries. *)
 
 val shred_item :
-  ?prebuilt:(int, Xd_xml.Doc.t) Hashtbl.t ->
-  endpoint -> from_host:string -> Xd_xml.Node.t -> Xd_lang.Value.t
+  parsed -> endpoint -> from_host:string -> Xd_xml.Node.t -> Xd_lang.Value.t
 
 val shred_sequence :
-  ?prebuilt:(int, Xd_xml.Doc.t) Hashtbl.t ->
-  endpoint -> from_host:string -> Xd_xml.Node.t -> Xd_lang.Value.t
+  parsed -> endpoint -> from_host:string -> Xd_xml.Node.t -> Xd_lang.Value.t
+(** The items of a [<sequence>] of a parsed message. Routed content is
+    taken from the message's [prebuilt] table. *)

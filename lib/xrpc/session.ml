@@ -344,21 +344,59 @@ let remember_reply session id resp =
     end
   end
 
-(* Parse one incoming message. With a codec installed, the streaming
-   event parser shreds fragment/copy subtree content straight into
-   pre-order stores *during* the parse — no intermediate message-tree
-   copy — and hands the prebuilt documents to the shredders via the
-   side table. Without one (ablation, or a codec-less build), the
-   classic tree parse; either way the message document itself parses
-   identically. *)
+(* Read one incoming message on the event route (Message.parse),
+   counting the subtrees it shredded straight into pre-order arrays. *)
 let parse_message session text =
-  match session.codec with
-  | None -> (X.Parser.parse_doc ~strip_ws:false text, None)
-  | Some _ ->
-    let mdoc, prebuilt = Codec.event_parse text in
-    let n = Hashtbl.length prebuilt in
-    if n > 0 then Stats.add_codec_event_shreds session.net.Network.stats n;
-    (mdoc, Some prebuilt)
+  let msg = Message.parse text in
+  let n = Hashtbl.length msg.Message.prebuilt in
+  if n > 0 then Stats.add_codec_event_shreds session.net.Network.stats n;
+  msg
+
+let find_path names node =
+  List.fold_left
+    (fun acc name ->
+      match acc with
+      | None -> None
+      | Some n -> Message.find_child n name)
+    (Some node) names
+
+(* Re-raise a parsed <env:Fault> as the typed fault it describes, keeping
+   its retry-after hint for the retry loop. A fault whose own structure
+   is broken raises Protocol_error. *)
+let raise_fault session ~host f =
+  let code, reason = Message.parse_fault f in
+  session.retry_after_hint <- Message.parse_retry_after f;
+  raise (Message.Xrpc_fault { host; code; reason })
+
+(* The one reply reader: the first of the [expect]ed elements under
+   env:Envelope/env:Body, with the parsed message that holds its content
+   documents. A reply that does not parse, or holds neither an expected
+   element nor an <env:Fault>, raises a *retryable* transport fault; an
+   <env:Fault> re-raises as the typed fault it describes. [what] names
+   the reply in those reasons. *)
+let read_reply session ~host ~what ~expect text =
+  let corrupt reason =
+    raise
+      (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
+  in
+  let msg =
+    try parse_message session text
+    with X.Parser.Error (m, pos) ->
+      corrupt (Printf.sprintf "unparsable %s: %s (byte %d)" what m pos)
+  in
+  let find name =
+    find_path [ "env:Envelope"; "env:Body"; name ]
+      (X.Node.doc_node msg.Message.doc)
+  in
+  match List.find_map find expect with
+  | Some n -> (n, msg)
+  | None -> (
+    match find "env:Fault" with
+    | Some f -> raise_fault session ~host f
+    | None ->
+      corrupt
+        (Printf.sprintf "%s is neither <%s> nor <env:Fault>" what
+           (List.hd expect)))
 
 (* The server-side session object for calls from [session] to [host]:
    holds the server peer's endpoint (shredded parameters) and supports
@@ -616,14 +654,6 @@ and compiled_request session ~host ?req_id ?txn ?epoch (x : Ast.execute_at)
 
 (* ---------------- server side ----------------------------------------- *)
 
-and find_path names node =
-  List.fold_left
-    (fun acc name ->
-      match acc with
-      | None -> None
-      | Some n -> Message.find_child n name)
-    (Some node) names
-
 (* [session] here is the *server* session. Every failure below — a
    request that does not parse, ill-formed protocol content, or an error
    raised by the remote body — is answered with a proper <env:Fault>
@@ -765,12 +795,12 @@ and admission_gate session node ~units k =
 
 and handle_request_exn session ~client_name request_text =
   let stats = session.net.Network.stats in
-  let body, prebuilt =
+  let body, msg =
     shred_traced session "request" (fun () ->
-        let mdoc, prebuilt = parse_message session request_text in
-        let root = X.Node.doc_node mdoc in
+        let msg = parse_message session request_text in
+        let root = X.Node.doc_node msg.Message.doc in
         match find_path [ "env:Envelope"; "env:Body" ] root with
-        | Some b -> (b, prebuilt)
+        | Some b -> (b, msg)
         | None ->
           Message.protocol_error
             "XRPC message without <env:Envelope>/<env:Body>")
@@ -795,7 +825,7 @@ and handle_request_exn session ~client_name request_text =
     | Some batch ->
       admission_gate session batch
         ~units:(max 1 (List.length (Message.children_named batch "request")))
-        (fun () -> handle_batch session ~client_name ?prebuilt batch)
+        (fun () -> handle_batch session ~client_name msg batch)
     | None -> (
       (* a catalog push: validate it and ack with our view of its epoch —
          the in-process network already shares the authoritative catalog,
@@ -832,7 +862,7 @@ and handle_request_exn session ~client_name request_text =
       | None ->
         let resp =
           Message.envelope
-            (handle_parsed session ~client_name ~ep ?req_id ?prebuilt req)
+            (handle_parsed session ~client_name ~ep ?req_id msg req)
         in
         (match req_id with
         | Some id -> remember_reply session id resp
@@ -844,7 +874,7 @@ and handle_request_exn session ~client_name request_text =
    inner <env:Fault> on failure — so one failing call never poisons its
    batch mates. Batches only travel on a fault-free wire, so slots carry
    no request-ids and need no dedup. *)
-and handle_batch session ~client_name ?prebuilt batch =
+and handle_batch session ~client_name msg batch =
   let stats = session.net.Network.stats in
   let reqs = Message.children_named batch "request" in
   if reqs = [] then
@@ -863,7 +893,7 @@ and handle_batch session ~client_name ?prebuilt batch =
         ~reason:"batch slot reached past the deadline budget" ()
     | _ -> (
       let ep = call_endpoint session in
-      match handle_parsed session ~client_name ~ep ?prebuilt req with
+      match handle_parsed session ~client_name ~ep msg req with
       | resp -> resp
       | exception e -> (
         match fault_of_exn e with
@@ -934,11 +964,11 @@ and handle_txn_control session action txn ~epoch =
       Journal.committed j ~txn;
       ack Message.Ack_committed)
 
-and handle_parsed session ~client_name ~ep ?req_id ?prebuilt req =
+and handle_parsed session ~client_name ~ep ?req_id msg req =
   let passing = Message.passing_of_string (Message.req_attr req "passing") in
   let txn_attr = Message.attr_of req "txn" in
   shred_traced session "fragments" (fun () ->
-      Message.shred_fragments ?prebuilt ep ~from_host:client_name
+      Message.shred_fragments msg ep ~from_host:client_name
         (Message.find_child req "fragments"));
   (* module: parse and cache the caller's function definitions *)
   (match Message.find_child req "module" with
@@ -962,7 +992,7 @@ and handle_parsed session ~client_name ~ep ?req_id ?prebuilt req =
       List.map
         (fun seq ->
           ( Message.req_attr seq "param",
-            Message.shred_sequence ?prebuilt ep ~from_host:client_name seq ))
+            Message.shred_sequence msg ep ~from_host:client_name seq ))
         (Message.children_named call "sequence")
   in
   (* Dynamic topology, callee side: before evaluating, check that this
@@ -1141,7 +1171,7 @@ and stage_updates session (env : Env.t) ~txn ~req_id =
    exception it describes. Alongside the value, returns the transaction
    acknowledgement (staged count + transitive participants) when the
    response carries one. *)
-and shred_response_node _session ~ep ~host ?prebuilt resp :
+and shred_response_node _session msg ~ep ~host resp :
     Value.t * (int * string list) option =
   let corrupt reason =
     raise
@@ -1167,11 +1197,11 @@ and shred_response_node _session ~ep ~host ?prebuilt resp :
       in
       Some (staged, nested)
   in
-  Message.shred_fragments ?prebuilt ep ~from_host:host
+  Message.shred_fragments msg ep ~from_host:host
     (Message.find_child resp "fragments");
   let v =
     match Message.find_child resp "sequence" with
-    | Some seq -> Message.shred_sequence ?prebuilt ep ~from_host:host seq
+    | Some seq -> Message.shred_sequence msg ep ~from_host:host seq
     | None -> []
   in
   (v, tinfo)
@@ -1206,43 +1236,26 @@ and shred_response session ?vertex ~ep ~host response_text :
 
 and shred_response_generic session ~ep ~host response_text :
     Value.t * (int * string list) option =
-  let corrupt reason =
-    raise
-      (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
-  in
   shred_traced session "response" (fun () ->
-      let root, prebuilt =
-        match parse_message session response_text with
-        | mdoc, prebuilt -> (X.Node.doc_node mdoc, prebuilt)
-        | exception X.Parser.Error (m, pos) ->
-          corrupt (Printf.sprintf "unparsable response: %s (byte %d)" m pos)
-      in
-      match find_path [ "env:Envelope"; "env:Body"; "response" ] root with
-      | Some resp -> shred_response_node session ~ep ~host ?prebuilt resp
-      | None -> (
-        match find_path [ "env:Envelope"; "env:Body"; "forward" ] root with
-        | Some f ->
-          (* a redirect: the callee no longer owns the data. A malformed
-             one is a non-retryable protocol fault (typed, never a leaked
-             exception); a well-formed one raises for the forwarding
-             loop in execute_at. *)
-          let doc, owner, epoch =
-            try Message.parse_forward f
-            with Message.Protocol_error m ->
-              raise
-                (Message.Xrpc_fault
-                   { host; code = Message.Protocol_malformed; reason = m })
-          in
-          raise (Message.Xrpc_forward { doc; owner; epoch })
-        | None -> (
-          match
-            find_path [ "env:Envelope"; "env:Body"; "env:Fault" ] root
-          with
-          | Some f ->
-            let code, reason = Message.parse_fault f in
-            session.retry_after_hint <- Message.parse_retry_after f;
-            raise (Message.Xrpc_fault { host; code; reason })
-          | None -> corrupt "response is neither <response> nor <env:Fault>")))
+      match
+        read_reply session ~host ~what:"response"
+          ~expect:[ "response"; "forward" ] response_text
+      with
+      | resp, msg when X.Node.name resp = "response" ->
+        shred_response_node session msg ~ep ~host resp
+      | f, _ ->
+        (* a redirect: the callee no longer owns the data. A malformed
+           one is a non-retryable protocol fault (typed, never a leaked
+           exception); a well-formed one raises for the forwarding loop
+           in execute_at. *)
+        let doc, owner, epoch =
+          try Message.parse_forward f
+          with Message.Protocol_error m ->
+            raise
+              (Message.Xrpc_fault
+                 { host; code = Message.Protocol_malformed; reason = m })
+        in
+        raise (Message.Xrpc_forward { doc; owner; epoch }))
 
 (* Shred a <batch> response: one value per slot, in request order. A
    faulted slot raises after its predecessors shredded — exactly the
@@ -1254,42 +1267,26 @@ and shred_batch_response session ~ep ~host ~calls response_text :
       (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
   in
   shred_traced session "batch response" (fun () ->
-      let root, prebuilt =
-        match parse_message session response_text with
-        | mdoc, prebuilt -> (X.Node.doc_node mdoc, prebuilt)
-        | exception X.Parser.Error (m, pos) ->
-          corrupt (Printf.sprintf "unparsable response: %s (byte %d)" m pos)
+      let b, msg =
+        read_reply session ~host ~what:"response" ~expect:[ "batch" ]
+          response_text
       in
-      match find_path [ "env:Envelope"; "env:Body"; "batch" ] root with
-      | Some b ->
-        let slots =
-          List.filter
-            (fun n -> X.Node.kind n = X.Node.Element)
-            (X.Node.children b)
-        in
-        if List.length slots <> calls then
-          corrupt
-            (Printf.sprintf "batch answered %d of %d calls"
-               (List.length slots) calls);
-        List.fold_left
-          (fun acc slot ->
-            match X.Node.name slot with
-            | "response" ->
-              fst (shred_response_node session ~ep ~host ?prebuilt slot) :: acc
-            | "env:Fault" ->
-              let code, reason = Message.parse_fault slot in
-              session.retry_after_hint <- Message.parse_retry_after slot;
-              raise (Message.Xrpc_fault { host; code; reason })
-            | other -> corrupt ("unexpected batch slot <" ^ other ^ ">"))
-          [] slots
-        |> List.rev
-      | None -> (
-        match find_path [ "env:Envelope"; "env:Body"; "env:Fault" ] root with
-        | Some f ->
-          let code, reason = Message.parse_fault f in
-          session.retry_after_hint <- Message.parse_retry_after f;
-          raise (Message.Xrpc_fault { host; code; reason })
-        | None -> corrupt "response is neither <batch> nor <env:Fault>"))
+      let slots =
+        List.filter (fun n -> X.Node.kind n = X.Node.Element) (X.Node.children b)
+      in
+      if List.length slots <> calls then
+        corrupt
+          (Printf.sprintf "batch answered %d of %d calls" (List.length slots)
+             calls);
+      List.fold_left
+        (fun acc slot ->
+          match X.Node.name slot with
+          | "response" ->
+            fst (shred_response_node session msg ~ep ~host slot) :: acc
+          | "env:Fault" -> raise_fault session ~host slot
+          | other -> corrupt ("unexpected batch slot <" ^ other ^ ">"))
+        [] slots
+      |> List.rev)
 
 (* A body is safe to degrade to local evaluation when it provably reads
    only: no updating expression and no user-function call (a user
@@ -2009,39 +2006,23 @@ and apply_updates session (env : Env.t) =
 
 (* ---------------- coordinator (2PC driver) ----------------------------- *)
 
-(* Parse a control-message reply: an ack, a retryable condition, or a
+(* Read a control-message reply: an ack, a retryable condition, or a
    fatal typed exception. *)
 let parse_txn_response session ~host text =
   shred_traced session "ack" (fun () ->
-      match X.Parser.parse_doc ~strip_ws:false text with
-      | exception X.Parser.Error (m, pos) ->
-        `Retry
-          ( Message.Transport_corrupt,
-            Printf.sprintf "unparsable ack: %s (byte %d)" m pos )
-      | mdoc -> (
-        let root = X.Node.doc_node mdoc in
-        match find_path [ "env:Envelope"; "env:Body"; "txn-ack" ] root with
-        | Some ack -> (
-          match Message.parse_txn_ack ack with
-          | _, a -> `Ack a
-          | exception Message.Protocol_error m ->
-            `Retry (Message.Transport_corrupt, m))
-        | None -> (
-          match find_path [ "env:Envelope"; "env:Body"; "env:Fault" ] root with
-          | Some f -> (
-            match
-              let code, reason = Message.parse_fault f in
-              session.retry_after_hint <- Message.parse_retry_after f;
-              (code, reason)
-            with
-            | code, reason when Message.retryable code -> `Retry (code, reason)
-            | code, reason -> `Fatal (Message.Xrpc_fault { host; code; reason })
-            | exception Message.Protocol_error m ->
-              `Retry (Message.Transport_corrupt, m))
-          | None ->
-            `Retry
-              ( Message.Transport_corrupt,
-                "ack is neither <txn-ack> nor <env:Fault>" ))))
+      match
+        let ack, _ =
+          read_reply session ~host ~what:"ack" ~expect:[ "txn-ack" ] text
+        in
+        snd (Message.parse_txn_ack ack)
+      with
+      | a -> `Ack a
+      | exception Message.Xrpc_fault { code; reason; _ }
+        when Message.retryable code ->
+        `Retry (code, reason)
+      | exception (Message.Xrpc_fault _ as e) -> `Fatal e
+      | exception Message.Protocol_error m ->
+        `Retry (Message.Transport_corrupt, m))
 
 (* One 2PC control exchange with [host], under the same timeout/backoff
    regime as a data call. Control messages are idempotent, so they carry

@@ -78,13 +78,13 @@ val create :
     [codec], when given, installs the compiled per-call-site codecs from
     the wire-shape analysis (PROTOCOL.md, "Compiled codecs"): requests
     whose parameters are provably atomic are emitted by specialized
-    encoders, provably-atomic responses are read by specialized decoders,
-    and every incoming message is parsed by the streaming event shredder
-    that diverts fragment/copy content straight into pre-order stores.
-    All three are strict specializations — the wire is byte-identical to
-    the generic paths, any runtime shape mismatch falls back (counted in
-    [codec.bailouts]), and the handle is shared with every server session
-    of the plan. Absent (default), generic paths only.
+    encoders, and provably-atomic responses are read by specialized
+    decoders. Both are strict specializations — the wire is
+    byte-identical to the generic paths, any runtime shape mismatch falls
+    back (counted in [codec.bailouts]), and the handle is shared with
+    every server session of the plan. Absent (default), generic paths
+    only. Either way every incoming message is read by
+    {!Message.parse}.
 
     [tracer], when given, records hierarchical spans for every call,
     attempt, (de)serialization, evaluation, fallback and 2PC exchange of

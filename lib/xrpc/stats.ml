@@ -53,10 +53,12 @@ type t = {
   breaker_probes : M.counter Lazy.t; (* half-open probes let through *)
   retry_budget_stops : M.counter Lazy.t; (* retries skipped: pool spent *)
   (* The codec buckets are lazy for the same reason: codec-off runs (and
-     plans with no compilable call site) leave the registry untouched. *)
+     plans with no compilable call site) leave the compiled-codec counters
+     unregistered, and the event-shred counter appears only once a message
+     carried fragment/copy content. *)
   codec_compiled : M.counter Lazy.t; (* requests emitted by compiled encoders *)
   codec_decodes : M.counter Lazy.t; (* responses read by compiled decoders *)
-  codec_event_shreds : M.counter Lazy.t; (* subtrees shredded by the event path *)
+  codec_event_shreds : M.counter Lazy.t; (* subtrees built while reading *)
   codec_bailouts : M.counter Lazy.t; (* compiled attempts that fell back *)
   hist_serialize : M.histogram;
   hist_shred : M.histogram;

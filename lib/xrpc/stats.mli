@@ -141,8 +141,9 @@ val codec_decodes : t -> int
 (** responses read by a compiled atomic-response decoder *)
 
 val codec_event_shreds : t -> int
-(** fragment/copy subtrees shredded by the event fast path (no
-    intermediate message-tree copy) *)
+(** fragment/copy subtrees built straight into pre-order arrays while
+    their message was read ({!Message.parse}) — every message is read
+    that way, so this counts with or without a codec installed *)
 
 val codec_bailouts : t -> int
 (** compiled-codec attempts that fell back to the generic path on a

@@ -745,6 +745,95 @@ let test_trace_header_tolerated_by_server () =
   check_bool "answered, not faulted"
     (contains response "42" && not (contains response "Fault"))
 
+(* ---- the event route against a tree copy ------------------------------------ *)
+
+(* The reference for routed content: a node-by-node copy of a routed
+   element's children out of a full tree parse of the message. *)
+let copy_children_to_doc ?uri n =
+  let b = X.Doc.Builder.create ?uri () in
+  let rec go c =
+    match X.Node.kind c with
+    | X.Node.Element ->
+      let attrs =
+        List.map
+          (fun a -> (X.Node.name a, X.Node.string_value a))
+          (X.Node.attributes c)
+      in
+      X.Doc.Builder.start_element b (X.Node.name c) attrs;
+      List.iter go (X.Node.children c);
+      X.Doc.Builder.end_element b
+    | X.Node.Text -> X.Doc.Builder.text b (X.Node.string_value c)
+    | X.Node.Comment -> X.Doc.Builder.comment b (X.Node.string_value c)
+    | X.Node.Pi -> X.Doc.Builder.pi b (X.Node.name c) (X.Node.string_value c)
+    | X.Node.Document | X.Node.Attribute -> ()
+  in
+  List.iter go (X.Node.children n);
+  X.Doc.Builder.finish b
+
+(* The elements the event route diverts, in document order: <fragment>
+   under <fragments> and <copy kind="element|document"> under
+   <sequence>, never inside content already diverted. *)
+let routed_elements root =
+  let rec go parent acc n =
+    if X.Node.kind n <> X.Node.Element then acc
+    else
+      let routed =
+        match (X.Node.name n, parent, M.attr_of n "kind") with
+        | "fragment", "fragments", _ -> true
+        | "copy", "sequence", Some ("element" | "document") -> true
+        | _ -> false
+      in
+      if routed then n :: acc
+      else List.fold_left (go (X.Node.name n)) acc (X.Node.children n)
+  in
+  List.rev (List.fold_left (go "") [] (X.Node.children root))
+
+(* Every message of a random query's runs under the three passing
+   semantics (a run that fails midway still leaves its messages). *)
+let recorded_texts q =
+  List.concat_map
+    (fun strategy ->
+      let net, client = Gen_queries.make_net () in
+      let record = ref [] in
+      (try ignore (Xd_core.Executor.run ~record net ~client strategy q)
+       with _ -> ());
+      List.map (fun m -> m.Xd_xrpc.Session.text) !record)
+    Xd_xrpc.Strategy.[ By_value; By_fragment; By_projection ]
+
+(* Message.parse's prebuilt documents are, host by host, the tree copies
+   of the routed elements' children. *)
+let routes_like_tree_copy text =
+  let msg = M.parse text in
+  let routed =
+    routed_elements (X.Node.doc_node (X.Parser.parse_doc ~strip_ws:false text))
+  in
+  let hosts =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) msg.M.prebuilt [])
+  in
+  List.length hosts = List.length routed
+  && List.for_all2
+       (fun host e ->
+         X.Node.name (X.Node.of_tree msg.M.doc host) = X.Node.name e
+         && Hashtbl.find msg.M.prebuilt host
+            = copy_children_to_doc ?uri:(M.attr_of e "base-uri") e)
+       hosts routed
+
+let prop_event_route =
+  qtest ~count:300 "Message.parse: routed content = a tree copy of it"
+    Gen_queries.arb_query (fun q ->
+      List.for_all routes_like_tree_copy (recorded_texts q))
+
+(* What random runs never ship: comments, PIs, CDATA and whitespace in
+   routed content, user elements named like protocol ones, and a text
+   copy, which is not routed. *)
+let test_event_route_content () =
+  let text =
+    M.envelope
+      {|<response passing="by-value"><fragments><fragment okey="1:2" base-uri="u.xml"><a> <!--c--><?pi x?><![CDATA[<d>]]><fragments><fragment/></fragments></a>t</fragment><fragment okey="1:9"/></fragments><sequence><copy kind="element"><sequence><copy kind="element"><b/></copy></sequence></copy><copy kind="text">x<!--y--></copy><copy kind="document"><?q?><r/></copy></sequence></response>|}
+  in
+  check_bool "prebuilt = tree copies" (routes_like_tree_copy text);
+  check_int "routed hosts" 4 (Hashtbl.length (M.parse text).M.prebuilt)
+
 let () =
   Alcotest.run "xd_messages"
     [
@@ -810,5 +899,7 @@ let () =
           prop_roundtrip_by_fragment;
           prop_roundtrip_by_projection;
           prop_remote_count;
+          prop_event_route;
+          tc "event route: rare content" test_event_route_content;
         ] );
     ]

@@ -164,7 +164,42 @@ let test_roundtrip () =
 let test_entities () =
   let d = xml "<a>&lt;&gt;&amp;&apos;&quot;&#65;&#x42;</a>" in
   check_string "entity decoding" "<>&'\"AB"
-    (X.Node.string_value (X.Node.doc_node d))
+    (X.Node.string_value (X.Node.doc_node d));
+  (* XML 1.0 [66] and [2]: decimal or lowercase-x hex digits only, naming
+     a code point in the Char range *)
+  let decoded r =
+    X.Node.string_value (X.Node.doc_node (xml ("<a>[" ^ r ^ "]</a>")))
+  in
+  List.iter
+    (fun (r, v) -> check_string ("accepted " ^ r) ("[" ^ v ^ "]") (decoded r))
+    [
+      ("&#65;", "A");
+      ("&#x42;", "B");
+      ("&#9;", "\t");
+      ("&#x1F600;", "\xF0\x9F\x98\x80");
+      ("&#1114111;", "\xF4\x8F\xBF\xBF");
+    ];
+  List.iter
+    (fun r ->
+      match decoded r with
+      | v -> Alcotest.failf "%s accepted as %S" r v
+      | exception X.Event.Error (m, _) ->
+        check_string ("rejected " ^ r) ("bad character reference " ^ r) m)
+    [
+      "&#0b1000001;";
+      "&#1_0_0;";
+      "&#+66;";
+      "&#0o101;";
+      "&#x4_1;";
+      "&#X41;";
+      "&#0;";
+      "&#xD800;";
+      "&#xFFFE;";
+      "&#1114112;";
+      "&#99999999999999999999999;";
+      "&#;";
+      "&#x;";
+    ]
 
 let test_cdata () =
   let d = xml "<a><![CDATA[<not> &parsed;]]></a>" in
@@ -270,6 +305,145 @@ let prop_parser_total =
       | exception X.Parser.Error _ -> true
       | exception _ -> false)
 
+(* ---- the document builder ---------------------------------------------- *)
+
+(* Util.sized_tree's trees, plus what the builder must normalise or keep
+   apart: comments, PIs, empty text and adjacent text runs. *)
+let gen_forest =
+  let open QCheck.Gen in
+  let extra =
+    oneof
+      [
+        map (fun s -> X.Doc.C s) (oneofl [ ""; "note"; " c " ]);
+        map2
+          (fun t d -> X.Doc.P (t, d))
+          (oneofl [ "pi"; "go" ])
+          (oneofl [ ""; "data x" ]);
+        map (fun s -> X.Doc.T s) (oneofl [ ""; ""; " "; "t"; "&amp" ]);
+      ]
+  in
+  (* [extras] spliced into [ts] at random positions *)
+  let splice ts =
+    let* extras =
+      list_size (int_bound 3) (pair (int_bound (List.length ts)) extra)
+    in
+    return
+      (List.concat
+         (List.mapi
+            (fun i t ->
+              List.filter_map
+                (fun (at, x) -> if at = i then Some x else None)
+                extras
+              @ [ t ])
+            (ts @ [ X.Doc.T "" ])))
+  in
+  let rec enrich = function
+    | X.Doc.E (name, attrs, cs) ->
+      let* cs = flatten_l (List.map enrich cs) in
+      let* cs = splice cs in
+      return (X.Doc.E (name, attrs, cs))
+    | t -> return t
+  in
+  sized (fun n ->
+      let* ts = list_size (int_bound 4) (sized_tree n >>= enrich) in
+      splice ts)
+
+let arb_forest =
+  let print_tree = Option.get (QCheck.get_print arb_tree) in
+  QCheck.make
+    ~print:(fun ts -> String.concat " | " (List.map print_tree ts))
+    gen_forest
+
+(* The reference: drop empty text, merge adjacent text, then number the
+   forest directly and recursively in pre-order under a document node. *)
+let rec normalise ts =
+  List.fold_left
+    (fun acc t ->
+      match (t, acc) with
+      | X.Doc.T "", _ -> acc
+      | X.Doc.T s, X.Doc.T prev :: rest -> X.Doc.T (prev ^ s) :: rest
+      | X.Doc.E (n, a, cs), _ -> X.Doc.E (n, a, normalise cs) :: acc
+      | t, _ -> t :: acc)
+    [] ts
+  |> List.rev
+
+let reference_doc forest =
+  let nodes = ref [ (X.Doc.Document, "", "", -1) ] and count = ref 1 in
+  let sizes = Hashtbl.create 16 and attrs = ref [] in
+  let rec number parent t =
+    let idx = !count in
+    incr count;
+    let add kind name value = nodes := (kind, name, value, parent) :: !nodes in
+    match t with
+    | X.Doc.E (name, ats, cs) ->
+      add X.Doc.Element name "";
+      List.iter (fun (an, av) -> attrs := (idx, an, av) :: !attrs) ats;
+      List.iter (number idx) cs;
+      Hashtbl.replace sizes idx (!count - idx - 1)
+    | X.Doc.T s -> add X.Doc.Text "" s
+    | X.Doc.C s -> add X.Doc.Comment "" s
+    | X.Doc.P (target, data) -> add X.Doc.Pi target data
+  in
+  List.iter (number 0) (normalise forest);
+  let n = !count in
+  let nodes = Array.of_list (List.rev !nodes) in
+  let attrs = Array.of_list (List.rev !attrs) in
+  let field f = Array.map f nodes and afield f = Array.map f attrs in
+  let owner = afield (fun (o, _, _) -> o) in
+  {
+    X.Doc.did = -1;
+    uri = None;
+    kind = field (fun (k, _, _, _) -> k);
+    name = field (fun (_, nm, _, _) -> nm);
+    value = field (fun (_, _, v, _) -> v);
+    parent = field (fun (_, _, _, p) -> p);
+    size =
+      Array.init n (fun i ->
+          if i = 0 then n - 1
+          else Option.value ~default:0 (Hashtbl.find_opt sizes i));
+    attr_owner = owner;
+    attr_name = afield (fun (_, an, _) -> an);
+    attr_value = afield (fun (_, _, av) -> av);
+    attr_first =
+      Array.init n (fun i ->
+          let rec first k =
+            if k = Array.length owner then -1
+            else if owner.(k) = i then k
+            else first (k + 1)
+          in
+          first 0);
+    attr_count =
+      Array.init n (fun i ->
+          Array.fold_left (fun c o -> if o = i then c + 1 else c) 0 owner);
+  }
+
+let prop_builder_reference =
+  qtest ~count:1000 "of_forest numbers the forest like the pre-order reference"
+    arb_forest (fun forest ->
+      (* unregistered and without a URI, so [=] compares the arrays; a
+         document's prolog skips leading whitespace, comments and PIs, so
+         the parse round trip runs on the forest under one root *)
+      let rooted = X.Doc.of_forest [ X.Doc.E ("root", [], forest) ] in
+      X.Doc.of_forest forest = reference_doc forest
+      && rooted = X.Parser.parse_doc ~strip_ws:false (X.Serializer.doc rooted))
+
+let test_builder_malformed () =
+  let malformed f =
+    match f (X.Doc.Builder.create ()) with
+    | _ -> false
+    | exception X.Doc.Malformed _ -> true
+  in
+  check_bool "unmatched end_element" (malformed X.Doc.Builder.end_element);
+  check_bool "end_element past the open ones"
+    (malformed (fun b ->
+         X.Doc.Builder.start_element b "a" [];
+         X.Doc.Builder.end_element b;
+         X.Doc.Builder.end_element b));
+  check_bool "finish with an element open"
+    (malformed (fun b ->
+         X.Doc.Builder.start_element b "a" [];
+         ignore (X.Doc.Builder.finish b)))
+
 (* ---- properties --------------------------------------------------------- *)
 
 let prop_roundtrip =
@@ -366,6 +540,8 @@ let () =
           tc "raw-lt-in-attr" test_raw_lt_in_attr;
           tc "text-coalescing" test_text_coalescing;
         ] );
+      ( "builder",
+        [ tc "malformed" test_builder_malformed; prop_builder_reference ] );
       ("deep-equal", [ tc "cases" test_deep_equal ]);
       ( "robustness",
         [
