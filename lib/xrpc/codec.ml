@@ -41,7 +41,6 @@ type compiled_call = {
       (** the session the encoder was compiled for — insurance against a
           vertex-id collision handing one session another's codec *)
   cc_head : string;  (** [<request passing=".." caller=".."] *)
-  cc_attrs_tail : string;  (** constant trailing attributes + [>] *)
   cc_body : string;
       (** [<query>..</query>] + optional projection paths + the constant
           [<fragments></fragments>] + [<call>] *)
@@ -66,41 +65,13 @@ let descriptors c = c.shapes.Shape.descriptors
 let find_call c vertex = Hashtbl.find_opt c.calls vertex
 let find_resp c vertex = Hashtbl.find_opt c.resps vertex
 
-(* The constant attribute tail of every <request>, shared across sites. *)
-let attrs_tail =
-  let buf = Buffer.create 96 in
-  Message.buf_attr buf "static-base-uri" "xdx://static/";
-  Message.buf_attr buf "default-collation" "codepoint";
-  Message.buf_attr buf "current-dateTime" "2009-03-29T00:00:00Z";
-  Buffer.add_char buf '>';
-  Buffer.contents buf
-
+(* The constant segments come from the same Message pieces the generic
+   writer uses, so the two writers cannot drift apart. *)
 let compile_call ~passing ~caller (x : Ast.execute_at) (d : Shape.descriptor) =
   let head = Buffer.create 64 in
-  Buffer.add_string head "<request";
-  Message.buf_attr head "passing" (Message.passing_to_string passing);
-  Message.buf_attr head "caller" caller;
+  Message.buf_request_head head ~passing ~caller;
   let body = Buffer.create 256 in
-  Buffer.add_string body "<query>";
-  Message.buf_text body (Xd_lang.Pp.expr_to_string x.Ast.body);
-  Buffer.add_string body "</query>";
-  (if passing = Message.By_projection && x.Ast.result_paths <> ([], []) then begin
-     let u, r = x.Ast.result_paths in
-     Buffer.add_string body "<projection-paths>";
-     List.iter
-       (fun p ->
-         Buffer.add_string body "<used-path>";
-         Message.buf_text body p;
-         Buffer.add_string body "</used-path>")
-       u;
-     List.iter
-       (fun p ->
-         Buffer.add_string body "<returned-path>";
-         Message.buf_text body p;
-         Buffer.add_string body "</returned-path>")
-       r;
-     Buffer.add_string body "</projection-paths>"
-   end);
+  Message.buf_query body ~passing x;
   (* all parameters atomic: no node ever reaches the fragment planner,
      so the fragments section is this constant under every passing *)
   Buffer.add_string body "<fragments></fragments>";
@@ -119,7 +90,6 @@ let compile_call ~passing ~caller (x : Ast.execute_at) (d : Shape.descriptor) =
     cc_vertex = d.Shape.vertex;
     cc_caller = caller;
     cc_head = Buffer.contents head;
-    cc_attrs_tail = attrs_tail;
     cc_body = Buffer.contents body;
     cc_params = params;
   }
@@ -194,17 +164,8 @@ let encode_request cc ~caller ?req_id ?txn ?epoch ?deadline args =
     let buf = Buffer.create (512 + String.length cc.cc_body) in
     Buffer.add_string buf env_open;
     Buffer.add_string buf cc.cc_head;
-    (match req_id with
-    | Some id -> Message.buf_attr buf "request-id" id
-    | None -> ());
-    (match txn with Some t -> Message.buf_attr buf "txn" t | None -> ());
-    (match epoch with
-    | Some e -> Message.buf_attr buf "epoch" (string_of_int e)
-    | None -> ());
-    (match deadline with
-    | Some d -> Message.buf_deadline buf d
-    | None -> ());
-    Buffer.add_string buf cc.cc_attrs_tail;
+    Message.buf_call_attrs buf ?req_id ?txn ?epoch ?deadline ();
+    Buffer.add_string buf Message.request_attrs_tail;
     Buffer.add_string buf cc.cc_body;
     List.iter
       (fun (popen, atoms) ->

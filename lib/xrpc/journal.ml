@@ -67,7 +67,6 @@ type t = {
 
 let on_append t f = t.observer <- f
 
-let peer_name t = t.peer
 let records t = List.rev t.recs
 
 let append t r =

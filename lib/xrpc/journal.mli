@@ -30,7 +30,6 @@ val open_file : dir:string -> peer:string -> t
     replayed as a crash-restart (presumed abort for unprepared stages).
     @raise Failure on a corrupt journal file. *)
 
-val peer_name : t -> string
 val records : t -> record list
 (** Oldest first. *)
 

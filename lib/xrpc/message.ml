@@ -32,6 +32,7 @@
    receiver — the by-fragment ordering guarantee, extended session-wide. *)
 
 module X = Xd_xml
+module Ast = Xd_lang.Ast
 module Value = Xd_lang.Value
 module Iset = Set.Make (Int)
 
@@ -147,7 +148,6 @@ type endpoint = {
   shipped : (string, (int, Iset.t ref) Hashtbl.t) Hashtbl.t;
       (* per dest host: my did -> indices already shipped there *)
   host_base : (string, int) Hashtbl.t;
-  mutable next_base : int;
 }
 
 let make_endpoint peer =
@@ -157,7 +157,6 @@ let make_endpoint peer =
     origin = Hashtbl.create 64;
     shipped = Hashtbl.create 4;
     host_base = Hashtbl.create 4;
-    next_base = 1;
   }
 
 (* Bases are allocated from a global counter so synthesized document ids
@@ -170,7 +169,6 @@ let base_for ep host =
   | None ->
     let b = !global_base lsl 44 in
     incr global_base;
-    ep.next_base <- ep.next_base + 1;
     Hashtbl.replace ep.host_base host b;
     b
 
@@ -260,6 +258,62 @@ let buf_deadline buf s =
   Buffer.add_string buf (deadline_value s);
   Buffer.add_char buf '"'
 
+(* The fixed parts of a <request>, shared by the generic writer
+   (Session) and the compiled encoders (Codec): the two must stay
+   byte-identical. *)
+
+let buf_request_head buf ~passing ~caller =
+  Buffer.add_string buf "<request";
+  buf_attr buf "passing" (passing_to_string passing);
+  buf_attr buf "caller" caller
+
+(* The per-call attributes, each stamped only where its feature is in
+   force, so that a wire without the feature is byte-identical to a
+   build without it: [req_id] on a faulty wire; [txn] inside a
+   distributed transaction (the callee stages its PUL under it); [epoch]
+   under dynamic topology (the caller's catalog version when it routed
+   the call); [deadline] when the query carries a budget (re-patched
+   with the remaining budget at each send). *)
+let buf_call_attrs buf ?req_id ?txn ?epoch ?deadline () =
+  (match req_id with Some id -> buf_attr buf "request-id" id | None -> ());
+  (match txn with Some t -> buf_attr buf "txn" t | None -> ());
+  (match epoch with
+  | Some e -> buf_attr buf "epoch" (string_of_int e)
+  | None -> ());
+  match deadline with Some d -> buf_deadline buf d | None -> ()
+
+(* The constant attribute tail that closes every <request> head. *)
+let request_attrs_tail =
+  let buf = Buffer.create 96 in
+  buf_attr buf "static-base-uri" "xdx://static/";
+  buf_attr buf "default-collation" "codepoint";
+  buf_attr buf "current-dateTime" "2009-03-29T00:00:00Z";
+  Buffer.add_char buf '>';
+  Buffer.contents buf
+
+(* The call's body text, and — per the paper, only when the analysis
+   produced result paths for a by-projection call — the
+   <projection-paths> telling the callee how to project its answer;
+   their absence asks for the full (by-fragment-style) format. *)
+let buf_query buf ~passing (x : Ast.execute_at) =
+  Buffer.add_string buf "<query>";
+  buf_text buf (Xd_lang.Pp.expr_to_string x.Ast.body);
+  Buffer.add_string buf "</query>";
+  match passing with
+  | By_projection when x.Ast.result_paths <> ([], []) ->
+    let u, r = x.Ast.result_paths in
+    let paths op cl =
+      List.iter (fun p ->
+          Buffer.add_string buf op;
+          buf_text buf p;
+          Buffer.add_string buf cl)
+    in
+    Buffer.add_string buf "<projection-paths>";
+    paths "<used-path>" "</used-path>" u;
+    paths "<returned-path>" "</returned-path>" r;
+    Buffer.add_string buf "</projection-paths>"
+  | By_value | By_fragment | By_projection -> ()
+
 (* Just the <env:Fault> element (PROTOCOL.md, "Faults"). *)
 let fault_body ?retry_after ~code ~reason () =
   let buf = Buffer.create 256 in
@@ -319,26 +373,24 @@ let txn_ack_of_string = function
    [deadline] rides 2PC control only when the query has a budget — control
    messages consume it like any other hop. *)
 let write_txn_control ?epoch ?deadline ~action ~txn () =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf
-    "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\"><env:Body><";
+  let buf = Buffer.create 96 in
+  Buffer.add_char buf '<';
   Buffer.add_string buf (txn_action_to_string action);
   buf_attr buf "txn" txn;
   (match epoch with
   | Some e -> buf_attr buf "epoch" (string_of_int e)
   | None -> ());
   (match deadline with Some s -> buf_deadline buf s | None -> ());
-  Buffer.add_string buf "/></env:Body></env:Envelope>";
-  Buffer.contents buf
+  Buffer.add_string buf "/>";
+  envelope (Buffer.contents buf)
 
 let write_txn_ack ~txn ~ack =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf
-    "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\"><env:Body><txn-ack";
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf "<txn-ack";
   buf_attr buf "txn" txn;
   buf_attr buf "state" (txn_ack_to_string ack);
-  Buffer.add_string buf "/></env:Body></env:Envelope>";
-  Buffer.contents buf
+  Buffer.add_string buf "/>";
+  envelope (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Topology envelopes (PROTOCOL.md, "Topology & forwarding").          *)
@@ -384,12 +436,7 @@ let catalog_body cat =
   Buffer.contents buf
 
 let write_catalog_ack ~epoch =
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf
-    "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\"><env:Body><catalog-ack";
-  buf_attr buf "epoch" (string_of_int epoch);
-  Buffer.add_string buf "/></env:Body></env:Envelope>";
-  Buffer.contents buf
+  envelope ("<catalog-ack epoch=\"" ^ string_of_int epoch ^ "\"/>")
 
 (* ---- the optional <trace> telemetry header (PROTOCOL.md, "Tracing") ---- *)
 
@@ -838,10 +885,6 @@ let parse_fault fault_node =
 let parse_txn_ack n =
   (req_attr n "txn", txn_ack_of_string (req_attr n "state"))
 
-(* A complete <forward> envelope (response position). *)
-let write_forward ~doc ~owner ~epoch =
-  envelope (forward_body ~doc ~owner ~epoch)
-
 let int_attr n name =
   let v = req_attr n name in
   match int_of_string_opt v with
@@ -858,9 +901,6 @@ let parse_forward n =
   let epoch = int_attr n "epoch" in
   if owner = "" then protocol_error "malformed <forward>: empty owner";
   (doc, owner, epoch)
-
-(* A complete <catalog> envelope. *)
-let write_catalog cat = envelope (catalog_body cat)
 
 (* Read a <catalog> element back into a fresh Catalog.t. *)
 let parse_catalog n =

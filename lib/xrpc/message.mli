@@ -124,8 +124,6 @@ val forward_body : doc:string -> owner:string -> epoch:int -> string
 (** Just the [<forward doc owner epoch>] element (response position):
     the answering peer no longer owns [doc]. *)
 
-val write_forward : doc:string -> owner:string -> epoch:int -> string
-
 val parse_forward : Xd_xml.Node.t -> string * string * int
 (** Read a [<forward>] element back into (doc, owner, epoch). Raises
     {!Protocol_error} on missing attributes, a bad epoch or an empty
@@ -133,7 +131,7 @@ val parse_forward : Xd_xml.Node.t -> string * string * int
     exceptions. *)
 
 val catalog_body : Xd_topo.Catalog.t -> string
-val write_catalog : Xd_topo.Catalog.t -> string
+(** Just the [<catalog epoch>] element with its entries and members. *)
 
 val parse_catalog : Xd_xml.Node.t -> Xd_topo.Catalog.t
 (** Read a [<catalog>] element back into a fresh catalog. Raises
@@ -220,7 +218,6 @@ type endpoint = {
   origin : (string * int * int, Xd_xml.Node.t) Hashtbl.t;
   shipped : (string, (int, Set.Make(Int).t ref) Hashtbl.t) Hashtbl.t;
   host_base : (string, int) Hashtbl.t;
-  mutable next_base : int;
 }
 (** Per-session per-peer marshaling state. *)
 
@@ -235,6 +232,29 @@ val remote_origin :
 
 val buf_attr : Buffer.t -> string -> string -> unit
 val buf_text : Buffer.t -> string -> unit
+
+(** The fixed parts of a [<request>], shared by the generic writer
+    (Session) and the compiled encoders ({!Codec}), which stay
+    byte-identical: head, per-call attributes, constant attribute tail,
+    then the query. *)
+
+val buf_request_head : Buffer.t -> passing:passing -> caller:string -> unit
+(** [<request passing=".." caller=".."] — left open for the attributes. *)
+
+val buf_call_attrs :
+  Buffer.t -> ?req_id:string -> ?txn:string -> ?epoch:int ->
+  ?deadline:float -> unit -> unit
+(** The per-call attributes, each only when given: [request-id], [txn],
+    [epoch] and the fixed-width [deadline] (the remaining budget). *)
+
+val request_attrs_tail : string
+(** The constant [static-base-uri], [default-collation] and
+    [current-dateTime] attributes, and the [>] closing the head. *)
+
+val buf_query : Buffer.t -> passing:passing -> Xd_lang.Ast.execute_at -> unit
+(** [<query>] with the body's text, then [<projection-paths>] for a
+    by-projection call whose analysis produced result paths. *)
+
 val effective_node : Xd_xml.Node.t -> Xd_xml.Node.t
 (** Attributes travel with their owner element. *)
 

@@ -100,13 +100,6 @@ type admission =
 let prune ps ~now =
   ps.slots <- List.sort compare (List.filter (fun e -> e > now) ps.slots)
 
-let queue_depth t ~peer ~now =
-  match Hashtbl.find_opt t.peers peer with
-  | None -> 0
-  | Some ps ->
-    prune ps ~now;
-    Stdlib.max 0 (List.length ps.slots - t.config.capacity)
-
 let admit t ~peer ~now ?deadline ~units () =
   let units = Stdlib.max 1 units in
   let c = t.config in

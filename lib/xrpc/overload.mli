@@ -60,9 +60,6 @@ val admit :
     occupies one slot for [units * service_s]). Mutates the peer's slot
     list on [Admit]. *)
 
-val queue_depth : t -> peer:string -> now:float -> int
-(** Admissions currently waiting (beyond the busy slots) at [now]. *)
-
 (** {2 Circuit breakers} *)
 
 type breaker_state = Closed | Open | Half_open

@@ -20,5 +20,3 @@ let load_xml t ~doc_name xml =
 let load_tree t ~doc_name tree = X.Store.of_tree t.store ~uri:doc_name tree
 
 let find_doc t doc_name = X.Store.find_uri t.store doc_name
-
-let xrpc_uri t doc_name = Printf.sprintf "xrpc://%s/%s" t.name doc_name

@@ -10,4 +10,3 @@ val store : t -> Xd_xml.Store.t
 val load_xml : t -> doc_name:string -> string -> Xd_xml.Doc.t
 val load_tree : t -> doc_name:string -> Xd_xml.Doc.tree -> Xd_xml.Doc.t
 val find_doc : t -> string -> Xd_xml.Doc.t option
-val xrpc_uri : t -> string -> string

@@ -200,6 +200,13 @@ let remote_traced session name f =
 
 let recorded session = Option.map (fun r -> List.rev !r) session.record
 
+let record session dir =
+  match session.record with
+  | Some r ->
+    let text = match dir with `Request t | `Response t -> t in
+    r := { dir; text } :: !r
+  | None -> ()
+
 (* ---------------- retry backoff ---------------------------------------- *)
 
 (* FNV-1a over [s], folded to 16 bits. Hand-rolled (not Hashtbl.hash) so
@@ -244,6 +251,12 @@ let deadline_now session =
 let deadline_active session =
   session.deadline_at <> None || session.deadline_rel <> None
 
+(* The budget left now, as an outgoing message stamps it. *)
+let remaining_budget session =
+  Option.map
+    (fun d -> d -. Stats.network_s session.net.Network.stats)
+    (deadline_now session)
+
 (* Charge one backoff wait to the simulated clock, honoring a server's
    retry-after suggestion when it exceeds our own jittered schedule. The
    hint is single-use: it belongs to the fault that carried it. *)
@@ -273,12 +286,67 @@ let retry_allowed session =
       false
     end
 
-(* Raise the typed non-retryable expiry fault: budgets only shrink, so a
-   call whose budget is gone can never succeed by waiting. *)
-let raise_expired session ~host reason =
-  Stats.incr_deadline_rejects session.net.Network.stats;
-  raise
-    (Message.Xrpc_fault { host; code = Message.Deadline_exceeded; reason })
+(* ---------------- call policy ------------------------------------------ *)
+
+(* The call policy every client exchange retries under, data calls and
+   2PC control alike. Attempt n >= 2 first draws on the shared retry
+   budget, then waits out its jittered backoff keyed on [key]. An attempt
+   that would start past the deadline is not made — budgets only shrink,
+   so waiting cannot help — and [expired n] stands in for its reply.
+   Each attempt is its own span, a sibling of its predecessors under the
+   caller's span, carrying retry=N and whatever went wrong; the wire
+   header names the attempt, so server-side spans attach to the attempt
+   that actually delivered. [send] makes the round trip (None: a leg was
+   lost, and the timeout is charged) and [read] interprets the reply
+   inside the attempt span: a retryable typed fault out of [read]
+   retries, any other exception propagates. [Ok] of the reply read, or
+   [Error (attempts made, last failure)] once attempts or budget ran
+   out. *)
+let with_retries session ~key ~expired send read =
+  let stats = session.net.Network.stats in
+  session.retry_after_hint <- None;
+  let rec attempt n last =
+    if n > session.retries + 1 || (n > 1 && not (retry_allowed session)) then
+      Error (n - 1, last)
+    else begin
+      if n > 1 then begin
+        Stats.incr_retries stats;
+        charge_backoff session ~key ~attempt:n
+      end;
+      match deadline_now session with
+      | Some d when Stats.network_s stats >= d ->
+        Stats.incr_deadline_rejects stats;
+        Ok (expired n)
+      | _ -> (
+        match
+          traced session ~cat:"attempt" (Printf.sprintf "attempt %d" n)
+          @@ fun asp ->
+          Trace.add_attr asp "retry" (Trace.I (n - 1));
+          match send asp with
+          | None ->
+            Stats.incr_timeouts stats;
+            Stats.add_network_s stats session.timeout_s;
+            Trace.add_attr asp "timeout" (Trace.B true);
+            Error `Timeout
+          | Some reply -> (
+            match read asp reply with
+            | r -> Ok r
+            | exception Message.Xrpc_fault { host = _; code; reason }
+              when Message.retryable code ->
+              Trace.add_attr asp "fault"
+                (Trace.S (Message.fault_code_to_string code));
+              Error (`Fault (code, reason)))
+        with
+        | Ok r -> Ok r
+        | Error last -> attempt (n + 1) last)
+    end
+  in
+  attempt 1 `Timeout
+
+(* The typed failure of a call whose attempts all failed retryably. *)
+let failure_exn ~host attempts = function
+  | `Timeout -> Message.Xrpc_timeout { host; attempts }
+  | `Fault (code, reason) -> Message.Xrpc_fault { host; code; reason }
 
 (* ---------------- dynamic topology helpers ----------------------------- *)
 
@@ -523,37 +591,14 @@ and param_node_sets (x : Ast.execute_at) args =
 and request_body session ~ep ~host ?req_id ?txn ?epoch ?(in_batch = false)
     (x : Ast.execute_at) ~args ~funcs =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "<request";
-  Message.buf_attr buf "passing" (Message.passing_to_string session.passing);
-  Message.buf_attr buf "caller" (Peer.name session.self);
-  (* only stamped on a faulty wire, so fault-free traffic is byte-identical
-     to a build without the fault layer *)
-  (match req_id with
-  | Some id -> Message.buf_attr buf "request-id" id
-  | None -> ());
-  (* only stamped inside a distributed transaction: the callee stages its
-     PUL under this id instead of applying it *)
-  (match txn with
-  | Some t -> Message.buf_attr buf "txn" t
-  | None -> ());
-  (* only stamped under dynamic topology (non-trivial catalog): the
-     caller's catalog version when it routed this call *)
-  (match epoch with
-  | Some e -> Message.buf_attr buf "epoch" (string_of_int e)
-  | None -> ());
-  (* only stamped when the query carries a deadline budget: the value is
-     re-patched with the remaining budget at each send. The admission
-     unit is the outermost element, so batch slots leave the budget to
-     their envelope. *)
-  (match (in_batch, deadline_now session) with
-  | false, Some d ->
-    Message.buf_deadline buf
-      (d -. Stats.network_s session.net.Network.stats)
-  | _ -> ());
-  Message.buf_attr buf "static-base-uri" "xdx://static/";
-  Message.buf_attr buf "default-collation" "codepoint";
-  Message.buf_attr buf "current-dateTime" "2009-03-29T00:00:00Z";
-  Buffer.add_char buf '>';
+  Message.buf_request_head buf ~passing:session.passing
+    ~caller:(Peer.name session.self);
+  (* the admission unit is the outermost element, so batch slots leave
+     the deadline budget to their envelope *)
+  Message.buf_call_attrs buf ?req_id ?txn ?epoch
+    ?deadline:(if in_batch then None else remaining_budget session)
+    ();
+  Buffer.add_string buf Message.request_attrs_tail;
   (* ship the module (user function definitions) once per host *)
   if funcs <> [] && not (Hashtbl.mem session.funcs_shipped host) then begin
     Hashtbl.replace session.funcs_shipped host ();
@@ -564,32 +609,7 @@ and request_body session ~ep ~host ?req_id ?txn ?epoch ?(in_batch = false)
     Message.buf_text buf text;
     Buffer.add_string buf "</module>"
   end;
-  Buffer.add_string buf "<query>";
-  Message.buf_text buf (Xd_lang.Pp.expr_to_string x.Ast.body);
-  Buffer.add_string buf "</query>";
-  (* Per the paper, the absence of <projection-paths> tells the callee to
-     answer in the full (by-fragment-style) format; only emit it when the
-     analysis actually produced result paths. *)
-  (if
-     session.passing = Message.By_projection
-     && x.Ast.result_paths <> ([], [])
-   then begin
-     let u, r = x.Ast.result_paths in
-     Buffer.add_string buf "<projection-paths>";
-     List.iter
-       (fun p ->
-         Buffer.add_string buf "<used-path>";
-         Message.buf_text buf p;
-         Buffer.add_string buf "</used-path>")
-       u;
-     List.iter
-       (fun p ->
-         Buffer.add_string buf "<returned-path>";
-         Message.buf_text buf p;
-         Buffer.add_string buf "</returned-path>")
-       r;
-     Buffer.add_string buf "</projection-paths>"
-   end);
+  Message.buf_query buf ~passing:session.passing x;
   let values = List.map snd args in
   let frags =
     match session.passing with
@@ -635,15 +655,10 @@ and compiled_request session ~host ?req_id ?txn ?epoch (x : Ast.execute_at)
       | None -> None
       | Some cc -> (
         let stats = session.net.Network.stats in
-        let deadline =
-          Option.map
-            (fun d -> d -. Stats.network_s stats)
-            (deadline_now session)
-        in
         match
           Codec.encode_request cc
             ~caller:(Peer.name session.self)
-            ?req_id ?txn ?epoch ?deadline args
+            ?req_id ?txn ?epoch ?deadline:(remaining_budget session) args
         with
         | Some text ->
           Stats.incr_codec_compiled stats;
@@ -1368,10 +1383,32 @@ and send_on_wire session ~dst ?hdr_span text =
   | Network.Delivered _ -> ());
   r
 
-(* One complete exchange with [host]: request build, send, retries.
-   Returns the shredded value, a <forward> redirect, or `Down after the
-   retry budget is exhausted on retryable failures (non-retryable faults
-   raise immediately). *)
+(* The transport: one round trip with [host] over the simulated wire.
+   The request goes out, the server session answers it — twice when the
+   fault layer duplicated the request: the second copy is answered from
+   the dedup cache and its reply ignored — and the reply travels back.
+   None when either leg was lost. The server session is resolved at
+   partial application, before the first send, so its nesting-depth
+   check fires before any byte is billed. *)
+and exchange session ~host =
+  let srv = server_session session host in
+  let self_name = Peer.name session.self in
+  fun ?hdr_span req_text ->
+    match send_on_wire session ~dst:host ?hdr_span req_text with
+    | Network.Dropped -> None
+    | Network.Delivered { text; duplicated } -> (
+      let reply = handle_request srv ~client_name:self_name text in
+      if duplicated then
+        ignore (handle_request srv ~client_name:self_name text);
+      record session (`Response reply);
+      match send_on_wire session ~dst:self_name reply with
+      | Network.Dropped -> None
+      | Network.Delivered { text; duplicated = _ } -> Some text)
+
+(* One data call to [host]: request build, then its round trips under the
+   call policy. [Ok] of the shredded value or a <forward> redirect, or
+   [Error (attempts, last failure)] once retryable failures exhausted the
+   attempts or the retry budget (non-retryable faults raise at once). *)
 and call_host session env (x : Ast.execute_at) ~host ~args =
   let stats = session.net.Network.stats in
   traced session ~cat:"call" ("call " ^ host) @@ fun call_sp ->
@@ -1408,107 +1445,46 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
         | None ->
           build_request session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs)
   in
-  (match session.record with
-  | Some r -> r := { dir = `Request req_text; text = req_text } :: !r
-  | None -> ());
-  let srv = server_session session host in
-  let self_name = Peer.name session.self in
-  let attempts = session.retries + 1 in
+  record session (`Request req_text);
+  let send = exchange session ~host in
   (* Jitter key: (request id, destination host) when there is an id
      (faulty wire — the only place retries can happen), else the host.
      The host must be part of the key: the same logical request can be
      re-driven at a different peer after a forward or failover, and
      keying on the id alone would replay the identical jitter fractions
      at the new hop instead of re-randomizing them per (id, hop). *)
-  let backoff_key =
-    match req_id with Some id -> id ^ "@" ^ host | None -> host
-  in
-  session.retry_after_hint <- None;
-  let timed_out () =
-    Stats.incr_timeouts stats;
-    Stats.add_network_s stats session.timeout_s
-  in
-  (* Each attempt is its own span — a sibling of its predecessors under
-     the call span, never nested — carrying retry=N and whatever went
-     wrong; the wire header names the attempt, so server-side spans
-     attach to the attempt that actually delivered. *)
-  let rec attempt n last =
-    if n > attempts then `Down last
-    else if n > 1 && not (retry_allowed session) then
-      (* the shared per-query retry pool is spent: stop retrying
-         everywhere, surface the last failure *)
-      `Down last
-    else begin
-      if n > 1 then begin
-        Stats.incr_retries stats;
-        (* deterministic jittered exponential backoff, charged to the
-           wire clock; a server-suggested retry-after can stretch it *)
-        charge_backoff session ~key:backoff_key ~attempt:n
-      end;
-      (match deadline_now session with
-      | Some d when Stats.network_s stats >= d ->
-        (* the budget ran out (e.g. while backing off): the call can
-           never complete in time, so nothing further goes on the wire *)
-        raise_expired session ~host
-          (Printf.sprintf "deadline budget exhausted before attempt %d" n)
-      | _ -> ());
-      let outcome =
-        traced session ~cat:"attempt" (Printf.sprintf "attempt %d" n)
-        @@ fun asp ->
-        Trace.add_attr asp "retry" (Trace.I (n - 1));
-        match send_on_wire session ~dst:host ?hdr_span:asp req_text with
-        | Network.Dropped ->
-          timed_out ();
-          Trace.add_attr asp "timeout" (Trace.B true);
-          `Retry `Timeout
-        | Network.Delivered { text = delivered; duplicated } -> (
-          let resp_text =
-            handle_request srv ~client_name:self_name delivered
+  let key = match req_id with Some id -> id ^ "@" ^ host | None -> host in
+  with_retries session ~key
+    ~expired:(fun n ->
+      raise
+        (Message.Xrpc_fault
+           {
+             host;
+             code = Message.Deadline_exceeded;
+             reason =
+               Printf.sprintf "deadline budget exhausted before attempt %d" n;
+           }))
+    (fun asp -> send ?hdr_span:asp req_text)
+    (fun asp reply ->
+      match
+        shred_response session ~vertex:x.Ast.body.Ast.id ~ep ~host reply
+      with
+      | v, tinfo ->
+        (* collect transaction participants: the callee (if it staged
+           anything) plus whatever its own fan-out staged *)
+        (match (session.txn, tinfo) with
+        | Some c, Some (staged, nested) ->
+          let addp h =
+            if h <> "" && not (List.mem h c.participants) then
+              c.participants <- c.participants @ [ h ]
           in
-          (* a duplicated request reaches the server twice; the second
-             copy is answered from the dedup cache and its reply ignored *)
-          if duplicated then
-            ignore (handle_request srv ~client_name:self_name delivered);
-          (match session.record with
-          | Some r ->
-            r := { dir = `Response resp_text; text = resp_text } :: !r
-          | None -> ());
-          match send_on_wire session ~dst:self_name resp_text with
-          | Network.Dropped ->
-            timed_out ();
-            Trace.add_attr asp "timeout" (Trace.B true);
-            `Retry `Timeout
-          | Network.Delivered { text = resp_delivered; duplicated = _ } -> (
-            match
-              shred_response session ~vertex:x.Ast.body.Ast.id ~ep ~host
-                resp_delivered
-            with
-            | v, tinfo ->
-              (* collect transaction participants: the callee (if it
-                 staged anything) plus whatever its own fan-out staged *)
-              (match session.txn, tinfo with
-              | Some c, Some (staged, nested) ->
-                let addp h =
-                  if h <> "" && not (List.mem h c.participants) then
-                    c.participants <- c.participants @ [ h ]
-                in
-                if staged > 0 then addp host;
-                List.iter addp nested
-              | _ -> ());
-              `Done (`Value v)
-            | exception Message.Xrpc_forward { doc; owner; epoch } ->
-              Trace.add_attr asp "forwarded" (Trace.B true);
-              `Done (`Forward (doc, owner, epoch))
-            | exception Message.Xrpc_fault { host = _; code; reason }
-              when Message.retryable code ->
-              Trace.add_attr asp "fault"
-                (Trace.S (Message.fault_code_to_string code));
-              `Retry (`Fault (code, reason))))
-      in
-      match outcome with `Done r -> r | `Retry last -> attempt (n + 1) last
-    end
-  in
-  attempt 1 `Timeout
+          if staged > 0 then addp host;
+          List.iter addp nested
+        | _ -> ());
+        `Value v
+      | exception Message.Xrpc_forward { doc; owner; epoch } ->
+        Trace.add_attr asp "forwarded" (Trace.B true);
+        `Forward (doc, owner, epoch))
 
 (* A live replacement peer for a call whose owner is down: some live,
    not-yet-tried peer that serves (owns or replicates) *every* document
@@ -1604,44 +1580,46 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
         if Overload.breaker_opens ov > before then
           Stats.incr_breaker_opens stats
     in
+    (* A ladder event. It is noted after the call span has closed, so it
+       names the vertex whose call caused it — the profile charges it
+       there, not to client-local work. *)
+    let note ~cat name attrs =
+      let sp = span_note session ~cat name in
+      List.iter (fun (k, v) -> Trace.add_attr sp k v) attrs;
+      Trace.add_attr sp "vertex" (Trace.I x.Ast.body.Ast.id);
+      Trace.finish session.tracer sp
+    in
     let rec drive ~hops ~visited host =
       match breaker_verdict host with
-      | `Shed until -> (
-        let sp = span_note session ~cat:"overload" "breaker shed" in
-        Trace.add_attr sp "host" (Trace.S host);
-        Trace.finish session.tracer sp;
-        match failover_target session x ~visited host with
-        | Some replica when degradable x ->
-          Stats.incr_topo_failovers stats;
-          drive ~hops ~visited:(host :: visited) replica
-        | _ ->
-          if degradable x then degrade session env x ~host ~args
-          else
+      | `Shed until ->
+        note ~cat:"overload" "breaker shed" [ ("host", Trace.S host) ];
+        fall_back ~hops ~visited host (fun () ->
             raise
               (Message.Xrpc_fault
                  {
                    host;
                    code = Message.Server_overloaded;
                    reason =
-                     Printf.sprintf
-                       "circuit breaker open for %s until t=%.3fs" host until;
+                     Printf.sprintf "circuit breaker open for %s until t=%.3fs"
+                       host until;
                  }))
       | `Proceed -> (
       match call_host session env x ~host ~args with
-      | `Value v ->
+      | Ok (`Value v) ->
         Stats.set_peer_up ~peer:host stats true;
         (match session.net.Network.overload with
         | Some ov -> Overload.breaker_success ov ~peer:host
         | None -> ());
         v
-      | `Forward (doc, fwd_owner, fwd_epoch) ->
+      | Ok (`Forward (doc, fwd_owner, fwd_epoch)) ->
         Stats.incr_forwarded stats;
-        let sp = span_note session ~cat:"topo" "forward" in
-        Trace.add_attr sp "from" (Trace.S host);
-        Trace.add_attr sp "doc" (Trace.S doc);
-        Trace.add_attr sp "owner" (Trace.S fwd_owner);
-        Trace.add_attr sp "epoch" (Trace.I fwd_epoch);
-        Trace.finish session.tracer sp;
+        note ~cat:"topo" "forward"
+          [
+            ("from", Trace.S host);
+            ("doc", Trace.S doc);
+            ("owner", Trace.S fwd_owner);
+            ("epoch", Trace.I fwd_epoch);
+          ];
         (* re-resolve against our catalog; the redirect's claimed owner
            is the fallback when the document is not (or no longer)
            catalogued here *)
@@ -1666,32 +1644,28 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
             (Printf.sprintf "forward loop: %s already answered for %s" owner
                doc)
         else drive ~hops:(hops - 1) ~visited:(host :: visited) owner
-      | `Down last -> (
+      | Error (attempts, last) ->
         Stats.set_peer_up ~peer:host stats false;
         breaker_failure host;
         (match catalog with
         | Some cat -> Xd_topo.Catalog.mark_down cat host
         | None -> ());
-        match failover_target session x ~visited host with
-        | Some replica when degradable x ->
-          Stats.incr_topo_failovers stats;
-          let sp = span_note session ~cat:"topo" "failover" in
-          Trace.add_attr sp "down" (Trace.S host);
-          Trace.add_attr sp "replica" (Trace.S replica);
-          Trace.finish session.tracer sp;
-          drive ~hops ~visited:(host :: visited) replica
-        | _ -> (
-          (* out of attempts on retryable failures only — non-retryable
-             faults raised inside call_host *)
-          if degradable x then degrade session env x ~host ~args
-          else
-            match last with
-            | `Fault (code, reason) ->
-              raise (Message.Xrpc_fault { host; code; reason })
-            | `Timeout ->
-              raise
-                (Message.Xrpc_timeout
-                   { host; attempts = session.retries + 1 }))))
+        (* out of attempts on retryable failures only — non-retryable
+           faults raised inside call_host *)
+        fall_back ~hops ~visited host (fun () ->
+            raise (failure_exn ~host attempts last)))
+    (* The fall-back ladder for a peer that cannot take the call — shed
+       by its breaker, or down: fail over to a live replica for a
+       read-only body, else degrade, else [fail ()] raises the typed
+       fault of the rung that sent us here. *)
+    and fall_back ~hops ~visited host fail =
+      match failover_target session x ~visited host with
+      | Some replica when degradable x ->
+        Stats.incr_topo_failovers stats;
+        note ~cat:"topo" "failover"
+          [ ("down", Trace.S host); ("replica", Trace.S replica) ];
+        drive ~hops ~visited:(host :: visited) replica
+      | _ -> if degradable x then degrade session env x ~host ~args else fail ()
     in
     drive ~hops:max_forward_hops ~visited:[] host
   end
@@ -1735,9 +1709,8 @@ and batch_call session env ~host
         Message.buf_attr buf "calls" (string_of_int n);
         (* the envelope is the admission unit: it carries the budget for
            all its slots (re-patched at send), and the slots carry none *)
-        (match deadline_now session with
-        | Some d ->
-          Message.buf_deadline buf (d -. Stats.network_s stats)
+        (match remaining_budget session with
+        | Some d -> Message.buf_deadline buf d
         | None -> ());
         Buffer.add_char buf '>';
         List.iter
@@ -1750,26 +1723,12 @@ and batch_call session env ~host
         Message.envelope (Buffer.contents buf))
   in
   Stats.add_batch stats ~calls:n;
-  (match session.record with
-  | Some r -> r := { dir = `Request req_text; text = req_text } :: !r
-  | None -> ());
-  let srv = server_session session host in
-  let self_name = Peer.name session.self in
-  let undeliverable () =
+  record session (`Request req_text);
+  match exchange session ~host ?hdr_span:bsp req_text with
+  | Some reply -> shred_batch_response session ~ep ~host ~calls:n reply
+  | None ->
     (* unreachable: batches only form on a fault-free wire *)
     raise (Message.Xrpc_timeout { host; attempts = 1 })
-  in
-  match send_on_wire session ~dst:host ?hdr_span:bsp req_text with
-  | Network.Dropped -> undeliverable ()
-  | Network.Delivered { text = delivered; duplicated = _ } -> (
-    let resp_text = handle_request srv ~client_name:self_name delivered in
-    (match session.record with
-    | Some r -> r := { dir = `Response resp_text; text = resp_text } :: !r
-    | None -> ());
-    match send_on_wire session ~dst:self_name resp_text with
-    | Network.Dropped -> undeliverable ()
-    | Network.Delivered { text = resp_delivered; duplicated = _ } ->
-      shred_batch_response session ~ep ~host ~calls:n resp_delivered)
 
 (* Execute one overlap group. Members are provably pure and pairwise
    non-interfering (the effect analysis only groups read-only calls), so
@@ -2024,59 +1983,27 @@ let parse_txn_response session ~host text =
       | exception Message.Protocol_error m ->
         `Retry (Message.Transport_corrupt, m))
 
-(* One 2PC control exchange with [host], under the same timeout/backoff
-   regime as a data call. Control messages are idempotent, so they carry
-   no request-id and never consult the dedup cache: a duplicated commit
-   simply re-acks. *)
+(* One 2PC control exchange with [host], under the call policy of a data
+   call. Control messages are idempotent, so they carry no request-id and
+   never consult the dedup cache: a duplicated commit simply re-acks. *)
 let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
-  let stats = session.net.Network.stats in
-  traced session ~cat:"txn.rpc"
-    (Message.txn_action_to_string action ^ " " ^ host)
-  @@ fun csp ->
+  let act = Message.txn_action_to_string action in
+  traced session ~cat:"txn.rpc" (act ^ " " ^ host) @@ fun csp ->
   Trace.add_attr csp "txn" (Trace.S txn);
   Trace.add_attr csp "host" (Trace.S host);
   (* 2PC control consumes deadline budget like any other hop: the value
      here is a placeholder, re-patched with the remaining budget at each
      send *)
-  let deadline =
-    Option.map (fun d -> d -. Stats.network_s stats) (deadline_now session)
-  in
+  let deadline = remaining_budget session in
   let req_text =
     ser_traced session "control" (fun () ->
         Message.write_txn_control ?epoch ?deadline ~action ~txn ())
   in
-  (match session.record with
-  | Some r -> r := { dir = `Request req_text; text = req_text } :: !r
-  | None -> ());
-  let srv = server_session session host in
-  let self_name = Peer.name session.self in
-  let attempts = session.retries + 1 in
-  session.retry_after_hint <- None;
-  let timed_out () =
-    Stats.incr_timeouts stats;
-    Stats.add_network_s stats session.timeout_s
-  in
-  let out_of_attempts last =
-    Error
-      (match last with
-      | `Timeout -> Message.Xrpc_timeout { host; attempts }
-      | `Fault (code, reason) -> Message.Xrpc_fault { host; code; reason })
-  in
-  let rec attempt n last =
-    if n > attempts then out_of_attempts last
-    else if n > 1 && not (retry_allowed session) then
-      (* the shared per-query retry pool is spent *)
-      out_of_attempts last
-    else begin
-      if n > 1 then begin
-        Stats.incr_retries stats;
-        charge_backoff session
-          ~key:(txn ^ "/" ^ Message.txn_action_to_string action ^ "@" ^ host)
-          ~attempt:n
-      end;
-      match deadline_now session with
-      | Some d when Stats.network_s stats >= d ->
-        Stats.incr_deadline_rejects stats;
+  record session (`Request req_text);
+  let send = exchange session ~host in
+  match
+    with_retries session ~key:(txn ^ "/" ^ act ^ "@" ^ host)
+      ~expired:(fun n ->
         Error
           (Message.Xrpc_fault
              {
@@ -2084,45 +2011,20 @@ let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
                code = Message.Deadline_exceeded;
                reason =
                  Printf.sprintf
-                   "deadline budget exhausted before 2PC %s attempt %d"
-                   (Message.txn_action_to_string action)
-                   n;
-             })
-      | _ ->
-      let outcome =
-        traced session ~cat:"attempt" (Printf.sprintf "attempt %d" n)
-        @@ fun asp ->
-        Trace.add_attr asp "retry" (Trace.I (n - 1));
-        match send_on_wire session ~dst:host ?hdr_span:asp req_text with
-        | Network.Dropped ->
-          timed_out ();
-          Trace.add_attr asp "timeout" (Trace.B true);
-          `Retry `Timeout
-        | Network.Delivered { text = delivered; duplicated } -> (
-          let resp_text = handle_request srv ~client_name:self_name delivered in
-          if duplicated then
-            ignore (handle_request srv ~client_name:self_name delivered);
-          (match session.record with
-          | Some r -> r := { dir = `Response resp_text; text = resp_text } :: !r
-          | None -> ());
-          match send_on_wire session ~dst:self_name resp_text with
-          | Network.Dropped ->
-            timed_out ();
-            Trace.add_attr asp "timeout" (Trace.B true);
-            `Retry `Timeout
-          | Network.Delivered { text = resp_delivered; duplicated = _ } -> (
-            match parse_txn_response session ~host resp_delivered with
-            | `Ack a -> `Done (Ok a)
-            | `Retry (code, reason) ->
-              Trace.add_attr asp "fault"
-                (Trace.S (Message.fault_code_to_string code));
-              `Retry (`Fault (code, reason))
-            | `Fatal e -> `Done (Error e)))
-      in
-      match outcome with `Done r -> r | `Retry last -> attempt (n + 1) last
-    end
-  in
-  attempt 1 `Timeout
+                   "deadline budget exhausted before 2PC %s attempt %d" act n;
+             }))
+      (fun asp -> send ?hdr_span:asp req_text)
+      (fun _ reply ->
+        (* a fatal fault is returned, not raised: an exception through
+           the attempt span would mark the span as failed *)
+        match parse_txn_response session ~host reply with
+        | `Ack a -> Ok a
+        | `Fatal e -> Error e
+        | `Retry (code, reason) ->
+          raise (Message.Xrpc_fault { host; code; reason }))
+  with
+  | Ok r -> r
+  | Error (attempts, last) -> Error (failure_exn ~host attempts last)
 
 (* Apply this peer's own staged PULs for [txn], if any: the coordinator
    is its own participant. *)
@@ -2134,7 +2036,23 @@ let commit_local session txn =
     Journal.committed j ~txn
   | `Already | `Unknown -> ()
 
-let all_ok acks = List.for_all (function Ok _ -> true | Error _ -> false) acks
+(* Send [action] to the participants in order, stopping at the first
+   whose reply is not the [expect]ed ack: its failure — [reason] for an
+   unexpected ack — or None when every participant acked as expected. *)
+let first_failure session ?epoch action txn ~expect ~reason participants =
+  List.find_map
+    (fun host ->
+      match txn_rpc session ~host ?epoch action txn with
+      | Ok a when a = expect -> None
+      | Ok _ ->
+        Some (Message.Xrpc_fault { host; code = Message.Txn_aborted; reason })
+      | Error e -> Some e)
+    participants
+
+(* Send [action] to every participant; true iff all of them acked. *)
+let broadcast session action txn participants =
+  List.map (fun host -> txn_rpc session ~host action txn) participants
+  |> List.for_all Result.is_ok
 
 (* Drive 2PC to completion. With no remote participants the transaction
    never left this peer: apply the local PUL directly — the single-peer
@@ -2177,19 +2095,8 @@ let commit_txn session (env : Env.t) (c : coord) =
       match local_vote with
       | Some e -> Some e
       | None ->
-        List.find_map
-          (fun host ->
-            match txn_rpc session ~host ?epoch:c.epoch Message.Prepare txn with
-            | Ok Message.Ack_prepared -> None
-            | Ok _ ->
-              Some
-                (Message.Xrpc_fault
-                   {
-                     host;
-                     code = Message.Txn_aborted;
-                     reason = "participant voted to abort";
-                   })
-            | Error e -> Some e)
+        first_failure session ?epoch:c.epoch Message.Prepare txn
+          ~expect:Message.Ack_prepared ~reason:"participant voted to abort"
           c.participants
     in
     match failure with
@@ -2198,37 +2105,21 @@ let commit_txn session (env : Env.t) (c : coord) =
       Stats.incr_txn_commits stats;
       Trace.add_attr tsp "decision" (Trace.S "commit");
       commit_local session txn;
-      let propagation =
-        List.find_map
-          (fun host ->
-            match txn_rpc session ~host Message.Commit txn with
-            | Ok Message.Ack_committed -> None
-            | Ok _ ->
-              Some
-                (Message.Xrpc_fault
-                   {
-                     host;
-                     code = Message.Txn_aborted;
-                     reason = "participant could not confirm the commit";
-                   })
-            | Error e -> Some e)
-          c.participants
-      in
-      match propagation with
+      match
+        first_failure session Message.Commit txn ~expect:Message.Ack_committed
+          ~reason:"participant could not confirm the commit" c.participants
+      with
       | None -> Journal.append j (Journal.Resolved { txn })
       | Some e -> raise e)
     | Some e ->
       Stats.incr_txn_aborts stats;
       Trace.add_attr tsp "decision" (Trace.S "abort");
       Journal.abort j ~txn;
-      let acks =
-        List.map (fun host -> txn_rpc session ~host Message.Abort txn)
-          c.participants
-      in
       (* journaling the resolution of an abort is an optimization, not a
          requirement: presumed abort means an unresolved undecided txn is
          re-aborted harmlessly by recovery *)
-      if all_ok acks then Journal.append j (Journal.Resolved { txn });
+      if broadcast session Message.Abort txn c.participants then
+        Journal.append j (Journal.Resolved { txn });
       raise e
   end
 
@@ -2285,10 +2176,7 @@ let execute_txn session (q : Ast.query) =
           (* participants know this id now: journal it, so that a
              reopened journal never hands it out again *)
           Journal.abort (journal session) ~txn:c.txn_id;
-          ignore
-            (List.map
-               (fun host -> txn_rpc session ~host Message.Abort c.txn_id)
-               c.participants)
+          ignore (broadcast session Message.Abort c.txn_id c.participants)
         end;
         raise e)
 
@@ -2301,21 +2189,15 @@ let recover session =
   let j = journal session in
   List.iter
     (fun (txn, participants, decision) ->
-      match decision with
-      | `Commit ->
-        commit_local session txn;
-        let acks =
-          List.map
-            (fun host -> txn_rpc session ~host Message.Commit txn)
-            participants
-        in
-        if all_ok acks then Journal.append j (Journal.Resolved { txn })
-      | `Abort ->
-        Journal.abort j ~txn;
-        let acks =
-          List.map
-            (fun host -> txn_rpc session ~host Message.Abort txn)
-            participants
-        in
-        if all_ok acks then Journal.append j (Journal.Resolved { txn }))
+      let action =
+        match decision with
+        | `Commit ->
+          commit_local session txn;
+          Message.Commit
+        | `Abort ->
+          Journal.abort j ~txn;
+          Message.Abort
+      in
+      if broadcast session action txn participants then
+        Journal.append j (Journal.Resolved { txn }))
     (Journal.unresolved j)

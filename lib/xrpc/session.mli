@@ -37,8 +37,9 @@ val create :
     apply at most once. When a peer stays unreachable and the body is
     provably read-only, the call degrades to data shipping: the
     documents are fetched and the body evaluates locally. Otherwise the
-    caller sees a typed {!Message.Xrpc_timeout} or {!Message.Xrpc_fault}
-    — never a leaked native exception.
+    caller sees a typed {!Message.Xrpc_timeout} (with the number of
+    attempts actually made) or {!Message.Xrpc_fault} — never a leaked
+    native exception.
 
     [dedup_cap] (default 256) bounds the server-side response cache that
     backs exactly-once replay of request-ids; the oldest entries are
@@ -102,10 +103,11 @@ val backoff_s : key:string -> attempt:int -> float
     ["<request-id>@<host>"] when an id is assigned (faulty wire) — the
     hop is part of the key, so the same logical request re-driven at a
     different peer after a forward/failover draws fresh jitter instead
-    of replaying the first hop's schedule — else just the host.
-    Concurrent retries of different requests decorrelate while any one
-    (request, hop)'s schedule replays exactly. Exposed for the pinning
-    unit test. *)
+    of replaying the first hop's schedule — else just the host. 2PC
+    control retries under the same policy with the key
+    ["<txn>/<action>@<host>"]. Concurrent retries of different requests
+    decorrelate while any one (request, hop)'s schedule replays exactly.
+    Exposed for the pinning unit test. *)
 
 val set_current_span : t -> Xd_obs.Trace.span option -> unit
 (** Set the ambient span new spans parent under — the executor installs

@@ -318,48 +318,3 @@ let time_remote t f =
   M.add t.remote_exec_s d;
   M.observe ?exemplar:t.exemplar t.hist_remote d;
   r
-
-let pp fmt t =
-  Fmt.pf fmt
-    "bytes: msg=%d doc=%d | msgs=%d docs=%d | serialize=%.4fs shred=%.4fs \
-     remote=%.4fs network=%.4fs"
-    (message_bytes t) (document_bytes t) (messages t) (documents_fetched t)
-    (serialize_s t) (shred_s t) (remote_exec_s t) (network_s t);
-  if faults t + timeouts t + retries t + fallbacks t + dedup_hits t > 0 then
-    Fmt.pf fmt " | faults=%d timeouts=%d retries=%d fallbacks=%d dedup=%d"
-      (faults t) (timeouts t) (retries t) (fallbacks t) (dedup_hits t);
-  if dedup_evictions t > 0 then Fmt.pf fmt " evictions=%d" (dedup_evictions t);
-  if txn_staged t + txn_commits t + txn_aborts t > 0 then
-    Fmt.pf fmt " | txn: staged=%d commits=%d aborts=%d" (txn_staged t)
-      (txn_commits t) (txn_aborts t);
-  if forwarded t + topo_resolutions t + topo_failovers t + topo_epoch_aborts t
-     > 0
-  then
-    Fmt.pf fmt " | topo: resolutions=%d forwarded=%d failovers=%d \
-                epoch-aborts=%d"
-      (topo_resolutions t) (forwarded t) (topo_failovers t)
-      (topo_epoch_aborts t);
-  if sched_groups t > 0 then
-    Fmt.pf fmt " | sched: groups=%d overlapped=%d saved=%.4fs"
-      (sched_groups t) (sched_overlapped t) (sched_saved_s t);
-  if batch_envelopes t > 0 then
-    Fmt.pf fmt " | batch: envelopes=%d calls=%d" (batch_envelopes t)
-      (batch_calls t);
-  if ov_admitted t + ov_shed t + ov_deadline_rejects t > 0 then
-    Fmt.pf fmt
-      " | overload: admitted=%d shed=%d deadline-rejects=%d queue-wait=%.4fs"
-      (ov_admitted t) (ov_shed t) (ov_deadline_rejects t) (ov_queue_wait_s t);
-  if
-    breaker_opens t + breaker_shed t + breaker_probes t
-    + retry_budget_stops t > 0
-  then
-    Fmt.pf fmt " | breaker: opens=%d shed=%d probes=%d budget-stops=%d"
-      (breaker_opens t) (breaker_shed t) (breaker_probes t)
-      (retry_budget_stops t);
-  if
-    codec_compiled t + codec_decodes t + codec_event_shreds t
-    + codec_bailouts t > 0
-  then
-    Fmt.pf fmt " | codec: compiled=%d decodes=%d event-shreds=%d bailouts=%d"
-      (codec_compiled t) (codec_decodes t) (codec_event_shreds t)
-      (codec_bailouts t)

@@ -220,5 +220,3 @@ val time_remote : t -> (unit -> 'a) -> 'a
 (** Remote-execution timing; nested (de)serialize/shred costs are
     subtracted (they are accounted in their own buckets). Negative
     residues are clamped to 0 and counted in {!remote_clamps}. *)
-
-val pp : Format.formatter -> t -> unit
