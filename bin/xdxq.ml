@@ -777,18 +777,15 @@ let run docs strategy explain stats code_motion types effects shapes
       | exception Xd_lang.Value.Type_error msg ->
         Printf.eprintf "type error: %s\n" msg;
         1
-      | exception Xd_xrpc.Message.Xrpc_fault { host; code; reason } ->
-        Printf.eprintf "xrpc fault from %s: %s: %s\n" host
-          (Xd_xrpc.Message.fault_code_to_string code)
-          reason;
+      | exception (Xd_xrpc.Message.Xrpc_fault _ as e) ->
+        prerr_endline (Printexc.to_string e);
         print_breakers ();
         export_trace ();
         dump_metrics ();
         log_query "fault";
         1
-      | exception Xd_xrpc.Message.Xrpc_timeout { host; attempts } ->
-        Printf.eprintf "xrpc timeout: %s did not answer (%d attempts)\n" host
-          attempts;
+      | exception (Xd_xrpc.Message.Xrpc_timeout _ as e) ->
+        prerr_endline (Printexc.to_string e);
         print_breakers ();
         export_trace ();
         dump_metrics ();

@@ -11,6 +11,14 @@ exception Dynamic_error of string
 
 let dynamic_error fmt = Format.kasprintf (fun s -> raise (Dynamic_error s)) fmt
 
+type probe = Unbuilt | Strings of (string, unit) Hashtbl.t | Mixed
+
+type invariant = {
+  expr : Ast.expr;
+  mutable value : Value.t option;
+  mutable probe : probe;
+}
+
 type t = {
   store : Xd_xml.Store.t;
   vars : Value.t Smap.t;
@@ -34,6 +42,9 @@ type t = {
   current_datetime : string;
   mutable recursion_depth : int;
   pul : Pul.t option; (* pending update list; None = read-only context *)
+  invariants : invariant list;
+      (* the loop-invariant subexpressions of the enclosing loop
+         instances, keyed by physical identity (Eval, "Loop invariants") *)
 }
 
 let default_resolve_doc env uri =
@@ -65,6 +76,7 @@ let create ?(vars = Smap.empty) ?(funcs = []) ?(resolve_doc = default_resolve_do
     current_datetime;
     recursion_depth = 0;
     pul;
+    invariants = [];
   }
 
 let bind env v value = { env with vars = Smap.add v value env.vars }

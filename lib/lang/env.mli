@@ -12,6 +12,18 @@ exception Dynamic_error of string
 
 val dynamic_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
+(** The string keys of a cached operand of a general [=]: [Mixed] when
+    some atom is neither [xs:string] nor [xs:untypedAtomic]. *)
+type probe = Unbuilt | Strings of (string, unit) Hashtbl.t | Mixed
+
+(** A loop-invariant subexpression and, once it has been evaluated, its
+    value. *)
+type invariant = {
+  expr : Ast.expr;  (** matched by physical identity *)
+  mutable value : Value.t option;
+  mutable probe : probe;
+}
+
 type t = {
   store : Xd_xml.Store.t;  (** where constructed/shredded nodes live *)
   vars : Value.t Smap.t;
@@ -35,6 +47,10 @@ type t = {
   pul : Pul.t option;
       (** pending update list; [None] = read-only context (updating
           expressions raise) *)
+  invariants : invariant list;
+      (** the loop-invariant subexpressions of the enclosing loop
+          instances; empty outside a loop and in a function or
+          execute-at body *)
 }
 
 val default_resolve_doc : t -> string -> Xd_xml.Doc.t

@@ -91,7 +91,218 @@ let matches_sequence_type (v : Value.t) = function
     in
     count_ok && List.for_all item_ok v
 
+(* ---- Loop invariants ------------------------------------------------
+
+   Each [For] evaluates the maximal loop-invariant subexpressions of its
+   body at most once per loop instance, on first use, and a general [=]
+   against one of them probes a set of its string keys instead of
+   scanning it (DESIGN.md, "Loop invariants"). A body subexpression is
+   invariant when none of its free variables is bound by the loop or by
+   a binder between the body and it, and it holds no node constructor
+   (each iteration mints fresh nodes), no execute at, no update and no
+   call to a user-declared function. Literals, variable references and
+   operators over nothing else are never cached: re-evaluating them costs
+   less than the cache. *)
+
+(* What the analysis knows of a body subexpression, packed in an int so
+   that the walk allocates next to nothing: the depth of the shallowest
+   binder inside the loop that its free variables refer to (the loop
+   variable is depth 0, [no_dep] for none), whether it may be hoisted,
+   and whether it is constant. *)
+let no_dep = max_int lsr 2
+let hoistable_bit = 2
+let constant_bit = 1
+let dep f = f lsr 2
+let invariant f = dep f = no_dep && f land hoistable_bit <> 0
+let constant f = f land constant_bit <> 0
+let leaf = (no_dep lsl 2) lor hoistable_bit lor constant_bit
+
+(* the facts of two sibling subexpressions together *)
+let both a b = (min (dep a) (dep b) lsl 2) lor (a land b land 3)
+
+(* steps, loops, lets and calls do work; constructors, execute at,
+   updates and user functions must run in every iteration *)
+let work f = f land lnot constant_bit
+let pinned f = f land lnot (hoistable_bit lor constant_bit)
+
+let rec binder_depth x = function
+  | [] -> no_dep
+  | (y, d) :: scope -> if String.equal x y then d else binder_depth x scope
+
+(* One pass over the body. [scope] maps the variables bound inside the
+   loop to their binder's depth, innermost first. Each invariant,
+   non-constant node pushes itself on [found], after dropping what its
+   own subtree pushed, so [found] ends up holding the maximal ones. *)
+let loop_invariants funcs v body =
+  let found = ref [] in
+  let rec walk scope depth (e : Ast.expr) =
+    let mark = !found in
+    let f =
+      match e.desc with
+      | Ast.Literal _ -> leaf
+      | Ast.Var_ref x -> (binder_depth x scope lsl 2) lor (leaf land 3)
+      | Ast.Seq es -> walk_list scope depth leaf es
+      | Ast.If (a, b, c) ->
+        both (walk scope depth a) (both (walk scope depth b) (walk scope depth c))
+      | Ast.Value_cmp (_, a, b)
+      | Ast.Node_cmp (_, a, b)
+      | Ast.Arith (_, a, b)
+      | Ast.And (a, b)
+      | Ast.Or (a, b) ->
+        both (walk scope depth a) (walk scope depth b)
+      | Ast.For (x, a, b) | Ast.Let (x, a, b) ->
+        work (both (walk scope depth a) (walk_bound scope depth x b))
+      | Ast.Typeswitch (a, cases, dv, dflt) ->
+        let case f (x, _, b) = both f (walk_bound scope depth x b) in
+        let f = List.fold_left case (walk scope depth a) cases in
+        work (both f (walk_bound scope depth dv dflt))
+      | Ast.Order_by (x, a, specs, b) ->
+        let spec f (s, _) = both f (walk_bound scope depth x s) in
+        let f = List.fold_left spec (walk scope depth a) specs in
+        work (both f (walk_bound scope depth x b))
+      | Ast.Node_set (_, a, b) -> work (both (walk scope depth a) (walk scope depth b))
+      | Ast.Step (a, _, _) -> work (walk scope depth a)
+      | Ast.Fun_call (name, args) ->
+        let f = walk_list scope depth leaf args in
+        if Builtin_names.is_builtin name && not (Env.Smap.mem name funcs) then
+          work f
+        else pinned f
+      | Ast.Execute_at x ->
+        (* the body runs elsewhere, with its parameters alone *)
+        let param f (_, p) = both f (walk scope depth p) in
+        pinned (List.fold_left param (walk scope depth x.host) x.params)
+      | Ast.Doc_constr a | Ast.Text_constr a | Ast.Delete_node a
+      | Ast.Elem_constr (Ast.Fixed_name _, a)
+      | Ast.Attr_constr (Ast.Fixed_name _, a) ->
+        pinned (walk scope depth a)
+      | Ast.Elem_constr (Ast.Computed_name a, b)
+      | Ast.Attr_constr (Ast.Computed_name a, b)
+      | Ast.Insert_node (a, _, b)
+      | Ast.Replace_value (a, b)
+      | Ast.Rename_node (a, b) ->
+        pinned (both (walk scope depth a) (walk scope depth b))
+    in
+    if invariant f then found := if constant f then mark else e :: mark;
+    f
+  and walk_list scope depth f = function
+    | [] -> f
+    | e :: es -> walk_list scope depth (both f (walk scope depth e)) es
+  (* [e] in the scope of [x], bound by a node at [depth]: what that node
+     binds is no dependency of its own *)
+  and walk_bound scope depth x e =
+    let f = walk ((x, depth + 1) :: scope) (depth + 1) e in
+    if dep f > depth then (no_dep lsl 2) lor (f land 3) else f
+  in
+  ignore (walk [ (v, 0) ] 0 body);
+  match !found with
+  | [] -> []
+  | found ->
+    (* a subexpression shared by two places of the body may be invariant
+       at one and not at the other: then cache nothing *)
+    let seen =
+      Ast.fold (fun n x -> if List.memq x found then n + 1 else n) 0 body
+    in
+    if seen = List.length found then found else []
+
+(* A [For] vertex with invariants is analysed once, for the function
+   declarations it was judged against. One without is walked again on
+   each instance: a server parses every call's body afresh, and an
+   ephemeron per call costs several times the walk. *)
+module Loop_memo = Ephemeron.K1.Make (struct
+  type t = Ast.expr
+
+  let equal = ( == )
+  let hash (e : Ast.expr) = e.id
+end)
+
+let loop_memo : (Ast.func Env.Smap.t * Ast.expr list) Loop_memo.t =
+  Loop_memo.create 64
+
+let invariants_of (env : Env.t) (loop : Ast.expr) v body =
+  match Loop_memo.find_opt loop_memo loop with
+  | Some (funcs, found) when funcs == env.Env.funcs -> found
+  | _ ->
+    let found = loop_invariants env.Env.funcs v body in
+    if found <> [] then
+      Loop_memo.replace loop_memo loop (env.Env.funcs, found);
+    found
+
+(* An invariant of an enclosing loop instance stays cached there. *)
+let enter_loop (env : Env.t) loop v body =
+  let active x = List.exists (fun (c : Env.invariant) -> c.expr == x) in
+  match invariants_of env loop v body with
+  | [] -> env
+  | found ->
+    let add acc expr =
+      if active expr env.Env.invariants then acc
+      else { Env.expr; value = None; probe = Env.Unbuilt } :: acc
+    in
+    { env with Env.invariants = List.fold_left add env.Env.invariants found }
+
+let rec find_invariant e = function
+  | [] -> None
+  | (c : Env.invariant) :: rest ->
+    if c.expr == e then Some c else find_invariant e rest
+
+let is_text = function Value.String _ | Value.Untyped _ -> true | _ -> false
+
+let probe_of v =
+  let atoms = Value.atomize v in
+  if List.for_all is_text atoms then begin
+    let keys = Hashtbl.create (List.length atoms) in
+    List.iter (fun a -> Hashtbl.replace keys (Value.atom_to_string a) ()) atoms;
+    Env.Strings keys
+  end
+  else Env.Mixed
+
+(* [Value.general_compare Eq va vb] where [cached] holds one operand's
+   value. String and untypedAtomic atoms compare as strings, never raise
+   and commute, so when both sides hold nothing else a lookup decides;
+   otherwise the pairwise scan's order and promotions do. *)
+let equal_cached (c : Env.invariant) cached other va vb =
+  let probe =
+    match c.probe with
+    | Env.Unbuilt ->
+      let p = probe_of cached in
+      c.probe <- p;
+      p
+    | p -> p
+  in
+  match probe with
+  | Env.Strings keys ->
+    let atoms = Value.atomize other in
+    if List.for_all is_text atoms then
+      List.exists (fun a -> Hashtbl.mem keys (Value.atom_to_string a)) atoms
+    else Value.general_compare Ast.Eq va vb
+  | Env.Mixed | Env.Unbuilt -> Value.general_compare Ast.Eq va vb
+
+let compare_operands (env : Env.t) op a va b vb =
+  match (op, env.Env.invariants) with
+  | Ast.Eq, (_ :: _ as invs) -> (
+    match (find_invariant b invs, find_invariant a invs) with
+    | Some c, _ -> equal_cached c vb va va vb
+    | None, Some c -> equal_cached c va vb va vb
+    | None, None -> Value.general_compare op va vb)
+  | _ -> Value.general_compare op va vb
+
 let rec eval (env : Env.t) (e : Ast.expr) : Value.t =
+  match env.Env.invariants with
+  | [] -> eval_hooked env e
+  | invs -> (
+    match find_invariant e invs with
+    | Some c -> invariant_value env c
+    | None -> eval_hooked env e)
+
+(* Evaluated on first use; a raise caches nothing. *)
+and invariant_value env (c : Env.invariant) =
+  match c.value with
+  | Some v -> v
+  | None ->
+    let v = eval_hooked env c.expr in
+    c.value <- Some v;
+    v
+
+and eval_hooked (env : Env.t) (e : Ast.expr) : Value.t =
   (* the scheduling hook gets first refusal on the vertices that can
      anchor an overlap group; [None] means "no schedule here" and falls
      through to plain sequential evaluation *)
@@ -110,6 +321,10 @@ and eval_desc (env : Env.t) (e : Ast.expr) : Value.t =
   | Ast.Seq es -> List.concat_map (eval env) es
   | Ast.For (v, e1, e2) ->
     let seq = eval env e1 in
+    (* one iteration or none has nothing to share *)
+    let env =
+      match seq with _ :: _ :: _ -> enter_loop env e v e2 | _ -> env
+    in
     List.concat_map (fun item -> eval (Env.bind env v [ item ]) e2) seq
   | Ast.Let (v, e1, e2) -> eval (Env.bind env v (eval env e1)) e2
   | Ast.If (c, t, f) ->
@@ -125,7 +340,10 @@ and eval_desc (env : Env.t) (e : Ast.expr) : Value.t =
     in
     try_cases cases
   | Ast.Value_cmp (op, a, b) ->
-    Value.of_bool (Value.general_compare op (eval env a) (eval env b))
+    (* the right operand first, as the pairwise scan has always had it *)
+    let vb = eval env b in
+    let va = eval env a in
+    Value.of_bool (compare_operands env op a va b vb)
   | Ast.Node_cmp (op, a, b) -> (
     let get name v =
       match v with
@@ -281,7 +499,7 @@ and eval_fun_call env name args =
         (fun acc (v, _ty) arg -> Env.Smap.add v (eval env arg) acc)
         Env.Smap.empty f.Ast.f_params args
     in
-    let call_env = { env with Env.vars = bound } in
+    let call_env = { env with Env.vars = bound; invariants = [] } in
     call_env.Env.recursion_depth <- env.Env.recursion_depth + 1;
     let r = eval call_env f.Ast.f_body in
     call_env.Env.recursion_depth <- env.Env.recursion_depth;
@@ -300,7 +518,7 @@ let local_execute_at env (x : Ast.execute_at) ~host:_ ~args =
       (fun acc (v, value) -> Env.Smap.add v value acc)
       Env.Smap.empty args
   in
-  eval { env with Env.vars = vars } x.Ast.body
+  eval { env with Env.vars = vars; invariants = [] } x.Ast.body
 
 let default_env ?vars ?funcs ?resolve_doc ?execute_at ?pul store =
   let execute_at =

@@ -122,6 +122,21 @@ let fault_code_of_string = function
   | "xrpc:deadline.exceeded" -> Deadline_exceeded
   | s -> protocol_error "unknown fault code %S" s
 
+(* The faults print as the CLI reports them, fault code included, so a
+   span's [error] attribute names the code and not its constructor
+   number. *)
+let () =
+  Printexc.register_printer (function
+    | Xrpc_fault { host; code; reason } ->
+      Some
+        (Printf.sprintf "xrpc fault from %s: %s: %s" host
+           (fault_code_to_string code) reason)
+    | Xrpc_timeout { host; attempts } ->
+      Some
+        (Printf.sprintf "xrpc timeout: %s did not answer (%d attempts)" host
+           attempts)
+    | _ -> None)
+
 (* SOAP 1.2 top-level role: sender faults are the caller's doing,
    everything else is on the receiving side. *)
 let fault_role = function

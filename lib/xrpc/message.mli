@@ -62,7 +62,11 @@ exception
 
 exception Xrpc_timeout of { host : string; attempts : int }
 (** No response from [host] within the per-call timeout, after
-    [attempts] total sends. *)
+    [attempts] total sends.
+
+    [Printexc.to_string] prints both faults as the CLI reports them:
+    [xrpc fault from HOST: CODE: REASON] and [xrpc timeout: HOST did not
+    answer (N attempts)]. *)
 
 exception Xrpc_forward of { doc : string; owner : string; epoch : int }
 (** A parsed [<forward>] redirect answer: the callee no longer owns

@@ -22,29 +22,42 @@ let sources =
     ("local.xml", [| "conf"; "minage"; "wanted" |]);
   |]
 
+(* The texts keep the whitespace they always had: it is part of the
+   documents' string values and of the bytes the suites pin. *)
+let students_xml =
+  {|<people>
+           <person id="s1"><name>Ann</name><tutor>Bob</tutor><id>1</id><age>23</age></person>
+           <person id="s2"><name>Bob</name><tutor>Zoe</tutor><id>2</id><age>35</age></person>
+           <person id="s3"><name>Cyd</name><tutor>Ann</tutor><id>3</id><age>29</age></person>
+           <person id="s4"><name>Dan</name><tutor>Cyd</tutor><id>4</id><age>41</age></person>
+         </people>|}
+
+let course_xml =
+  {|<enroll>
+           <exam id="1"><grade>A</grade><topic>db</topic></exam>
+           <exam id="2"><grade>C</grade><topic>os</topic></exam>
+           <exam id="4"><grade>B</grade><topic>ml</topic></exam>
+         </enroll>|}
+
+let local_xml = {|<conf><minage>25</minage><wanted>db</wanted></conf>|}
+
+(* The same three documents under the URIs [sources] names them by, for
+   a single local store. *)
+let documents =
+  [
+    ("xrpc://peerA/students.xml", students_xml);
+    ("xrpc://peerB/course.xml", course_xml);
+    ("local.xml", local_xml);
+  ]
+
 let make_net ?fault ?journal_dir () =
   let net = Xd_xrpc.Network.create ?fault ?journal_dir () in
   let client = Xd_xrpc.Network.new_peer net "client" in
   let a = Xd_xrpc.Network.new_peer net "peerA" in
   let b = Xd_xrpc.Network.new_peer net "peerB" in
-  ignore
-    (Xd_xrpc.Peer.load_xml a ~doc_name:"students.xml"
-       {|<people>
-           <person id="s1"><name>Ann</name><tutor>Bob</tutor><id>1</id><age>23</age></person>
-           <person id="s2"><name>Bob</name><tutor>Zoe</tutor><id>2</id><age>35</age></person>
-           <person id="s3"><name>Cyd</name><tutor>Ann</tutor><id>3</id><age>29</age></person>
-           <person id="s4"><name>Dan</name><tutor>Cyd</tutor><id>4</id><age>41</age></person>
-         </people>|});
-  ignore
-    (Xd_xrpc.Peer.load_xml b ~doc_name:"course.xml"
-       {|<enroll>
-           <exam id="1"><grade>A</grade><topic>db</topic></exam>
-           <exam id="2"><grade>C</grade><topic>os</topic></exam>
-           <exam id="4"><grade>B</grade><topic>ml</topic></exam>
-         </enroll>|});
-  ignore
-    (Xd_xrpc.Peer.load_xml client ~doc_name:"local.xml"
-       {|<conf><minage>25</minage><wanted>db</wanted></conf>|});
+  ignore (Xd_xrpc.Peer.load_xml a ~doc_name:"students.xml" students_xml);
+  ignore (Xd_xrpc.Peer.load_xml b ~doc_name:"course.xml" course_xml);
+  ignore (Xd_xrpc.Peer.load_xml client ~doc_name:"local.xml" local_xml);
   (net, client)
 
 (* ---- generator --------------------------------------------------------- *)

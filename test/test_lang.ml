@@ -338,6 +338,263 @@ let test_dynamic_errors () =
   check_bool "missing doc" (fails {|doc("nope.xml")|});
   check_bool "bad arity" (fails {|count(1, 2)|})
 
+(* ---- loop invariants ---------------------------------------------------
+   A loop evaluates its invariant subexpressions once and probes [=]
+   against them; none of that may be visible in a result or an error. *)
+
+module A = Xd_lang.Ast
+
+let raises q =
+  match run q with
+  | _ -> "no error"
+  | exception Xd_lang.Env.Dynamic_error m -> "dynamic error: " ^ m
+  | exception V.Type_error _ -> "type error"
+
+let test_invariant_unused () =
+  check_string "empty loop" "" (run {|for $i in () return error("boom")|});
+  check_string "empty inner loop" ""
+    (run {|for $i in (1, 2) return for $j in () return error("boom")|});
+  check_string "untaken branch" "1 2 3"
+    (run {|for $i in (1, 2, 3) return if ($i > 5) then error("boom") else $i|});
+  check_string "untaken doc()" "1 2"
+    (run {|for $i in (1, 2) return if ($i > 5) then doc("none.xml") else $i|})
+
+let test_invariant_constructors () =
+  check_string "fresh node per iteration" "false"
+    (run
+       {|let $s := for $i in (1, 2) return <a/>
+         return string(item-at($s, 1) is item-at($s, 2))|});
+  check_string "fresh copies of invariant content" "2"
+    (run
+       {|let $s := for $i in (1, 2) return <a>{doc("test.xml")//age}</a>
+         return string(count($s union $s))|})
+
+let test_invariant_shadowing () =
+  check_string "a let shadows an outer variable" "a- b-"
+    (run
+       {|let $x := "out"
+         return for $i in ("a", "b") return let $x := $i return concat($x, "-")|});
+  check_string "over nodes" "Ann Bob Cyd"
+    (run
+       {|let $x := doc("test.xml")//person
+         return for $p in doc("test.xml")//person
+                return let $x := $p return string($x/name)|})
+
+let test_invariant_error_order () =
+  check_string "both operands invariant" "dynamic error: right"
+    (raises {|for $i in (1, 2) return error("left") = error("right")|});
+  check_string "the comparison alone invariant" "dynamic error: right"
+    (raises {|for $i in (1, 2) return ($i, error("left") = error("right"))|});
+  check_string "left operand invariant" "dynamic error: left"
+    (raises {|for $i in (1, 2) return error("left") = $i|})
+
+(* Scan order and promotion decide these; each comparison is checked with
+   its invariant operand on the left and on the right. *)
+let test_invariant_promotion () =
+  check_string "(\"x\", 1) = (\"x\", \"y\"), left invariant" "true true"
+    (run {|for $s in ("y", "y") return data(("x", 1)) = data(("x", $s))|});
+  check_string "(\"x\", 1) = (\"x\", \"y\"), right invariant" "true true"
+    (run {|for $n in (1, 1) return data(("x", $n)) = data(("x", "y"))|});
+  check_string "(1, \"x\") = (\"x\", \"y\"), left invariant" "type error"
+    (raises {|for $s in ("y", "y") return data((1, "x")) = data(("x", $s))|});
+  check_string "(1, \"x\") = (\"x\", \"y\"), right invariant" "type error"
+    (raises {|for $n in (1, 1) return data(($n, "x")) = data(("x", "y"))|});
+  check_string "untyped 35 = 35.0, left invariant" "true true"
+    (run {|for $d in (35.0, 35.0) return doc("test.xml")//person[1]/age = $d|});
+  check_string "untyped 35 = 35.0, right invariant" "true true"
+    (run {|for $d in (35.0, 35.0) return $d = doc("test.xml")//person[1]/age|});
+  let run_v q = eval_on_doc {|<r><v>035</v><v>x</v></r>|} q in
+  check_string "untyped 035 = 35, left invariant" "true true"
+    (run_v {|for $n in (35, 35) return doc("test.xml")//v = $n|});
+  check_string "untyped 035 = 35, right invariant" "true true"
+    (run_v {|for $n in (35, 35) return $n = doc("test.xml")//v|})
+
+(* A function body that shares a node with a loop body must not see the
+   loop's cache: there the node's variable is the parameter. *)
+let test_invariant_call_scope () =
+  let shared = A.fun_call "count" [ A.var "w" ] in
+  let f =
+    { A.f_name = "local:f"; f_params = [ ("w", None) ]; f_return = None; f_body = shared }
+  in
+  let loop =
+    A.mk
+      (A.For
+         ("i", A.seq [ A.int 1; A.int 2 ], A.seq [ shared; A.fun_call "local:f" [ A.var "i" ] ]))
+  in
+  let body = A.mk (A.Let ("w", A.seq [ A.int 1; A.int 2; A.int 3 ], loop)) in
+  check_string "the call evaluates the shared node afresh" "3 1 3 1"
+    (V.serialize (Xd_lang.Eval.run_query (store ()) { A.funcs = [ f ]; body }))
+
+(* The differential: every query evaluates once as is and once with each
+   For run per iteration through the scheduling hook, which gets first
+   refusal at every For. Both must agree on the value, on which result
+   nodes are the same node, and on the error raised. *)
+
+let per_iteration (env : Xd_lang.Env.t) (e : Xd_lang.Ast.expr) =
+  match e.desc with
+  | Xd_lang.Ast.For (v, e1, e2) ->
+    let seq = Xd_lang.Eval.eval env e1 in
+    Some
+      (List.concat_map
+         (fun item -> Xd_lang.Eval.eval (Xd_lang.Env.bind env v [ item ]) e2)
+         seq)
+  | _ -> None
+
+let outcome ?schedule store (q : Xd_lang.Ast.query) =
+  let env = Xd_lang.Eval.default_env ~funcs:q.funcs store in
+  match Xd_lang.Eval.eval { env with Xd_lang.Env.schedule } q.body with
+  | v ->
+    let nodes = List.filter_map (function V.N n -> Some n | V.A _ -> None) v in
+    let same = List.map (fun a -> List.map (X.Node.same a) nodes) nodes in
+    Ok (V.serialize v, same)
+  | exception Xd_lang.Env.Dynamic_error m -> Error ("dynamic error: " ^ m)
+  | exception V.Type_error m -> Error ("type error: " ^ m)
+
+let students = "xrpc://peerA/students.xml"
+let course = "xrpc://peerB/course.xml"
+
+(* thunks: every use builds fresh nodes, so no subtree is shared unless a
+   generator shares it on purpose *)
+let doc_paths =
+  let path uri steps =
+    List.fold_left (fun e (ax, t) -> A.step e ax t) (A.doc uri) steps
+  in
+  [
+    (fun () -> path students [ (A.Descendant, A.Name_test "person") ]);
+    (fun () -> path students [ (A.Descendant, A.Name_test "name") ]);
+    (fun () -> path students [ (A.Descendant, A.Name_test "age") ]);
+    (fun () ->
+      path students
+        [ (A.Descendant, A.Name_test "person"); (A.Attribute, A.Name_test "id") ]);
+    (fun () ->
+      path course
+        [ (A.Descendant, A.Name_test "exam"); (A.Attribute, A.Name_test "id") ]);
+    (fun () -> path course [ (A.Descendant, A.Name_test "topic") ]);
+    (fun () -> path "local.xml" [ (A.Descendant, A.Name_test "minage") ]);
+  ]
+
+let loop_vars = [ "i"; "j"; "x" ]
+
+module Gen_loops = struct
+  open QCheck.Gen
+
+  let gen_leaf vars =
+    frequency
+      ([
+         (2, map A.str (oneofl [ "x"; "y"; "35"; "s1"; "db"; "1" ]));
+         (2, map A.int (oneofl [ 1; 2; 4; 35 ]));
+         (1, map (fun () -> A.literal (A.A_float 35.0)) unit);
+         (1, map (fun () -> A.empty_seq ()) unit);
+         (4, map (fun path -> path ()) (oneofl doc_paths));
+       ]
+      @ if vars = [] then [] else [ (5, map A.var (oneofl vars)) ])
+
+  (* what a loop runs over: mostly two items or more *)
+  let rec gen_source vars n =
+    frequency
+      [
+        (2, map (fun () -> A.seq [ A.int 1; A.int 2; A.int 3 ]) unit);
+        (2, map (fun () -> A.seq [ A.str "x"; A.str "s1"; A.str "y" ]) unit);
+        (4, map (fun path -> path ()) (oneofl doc_paths));
+        (1, Gen_queries.delay (fun () -> gen_body vars (n / 2)));
+      ]
+
+  and gen_body vars n =
+    if n <= 0 then gen_leaf vars
+    else
+      let sub ?(vars = vars) k = Gen_queries.delay (fun () -> gen_body vars k) in
+      frequency
+        [
+          (2, gen_leaf vars);
+          ( 3,
+            oneofl loop_vars >>= fun v ->
+            map2
+              (fun src body -> A.mk (A.For (v, src, body)))
+              (gen_source vars n)
+              (sub ~vars:(v :: vars) (n - 1)) );
+          ( 3,
+            map3
+              (fun op a b -> A.mk (A.Value_cmp (op, a, b)))
+              (oneofl [ A.Eq; A.Eq; A.Eq; A.Ne; A.Lt ])
+              (sub (n / 2)) (sub (n / 2)) );
+          ( 2,
+            map3 (fun c a b -> A.mk (A.If (c, a, b))) (sub (n / 2)) (sub (n / 2))
+              (sub (n / 2)) );
+          ( 2,
+            oneofl loop_vars >>= fun v ->
+            map2
+              (fun value body -> A.mk (A.Let (v, value, body)))
+              (sub (n / 2))
+              (sub ~vars:(v :: vars) (n / 2)) );
+          (1, map (fun c -> A.mk (A.Elem_constr (A.Fixed_name "c", c))) (sub (n - 1)));
+          (1, map (fun m -> A.fun_call "error" [ A.str m ]) (oneofl [ "e1"; "e2" ]));
+          ( 2,
+            map2
+              (fun f a -> A.fun_call f [ a ])
+              (oneofl [ "data"; "count"; "exists"; "distinct-values" ])
+              (sub (n - 1)) );
+          (1, map2 (fun a b -> A.seq [ a; b ]) (sub (n / 2)) (sub (n / 2)));
+          (1, map (fun a -> A.step a A.Child A.Kind_node) (sub (n - 1)));
+          ( 1,
+            map2
+              (fun a b ->
+                A.mk
+                  (A.Node_cmp
+                     ( A.Is,
+                       A.fun_call "item-at" [ a; A.int 1 ],
+                       A.fun_call "item-at" [ b; A.int 2 ] )))
+              (sub (n / 2)) (sub (n / 2)) );
+          ( 2,
+            (* one physical subtree in two places: under a let that rebinds
+               the variable it reads, and outside it *)
+            oneofl (if vars = [] then loop_vars else vars) >>= fun v ->
+            map2
+              (fun value shared ->
+                A.seq [ A.mk (A.Let (v, value, shared)); shared ])
+              (sub (n / 2))
+              (sub ~vars:[ v ] (n / 2)) );
+        ]
+
+  (* a loop, maybe under an outer binding that its body reads or shadows *)
+  let gen_flwor =
+    sized @@ fun size ->
+    let n = 2 + min size 4 in
+    oneofl loop_vars >>= fun v ->
+    oneofl loop_vars >>= fun w ->
+    bool >>= fun outer ->
+    let scope = if outer then [ w ] else [] in
+    gen_source scope n >>= fun src ->
+    gen_body (v :: scope) n >>= fun body ->
+    let loop = A.mk (A.For (v, src, body)) in
+    (if outer then map (fun path -> A.mk (A.Let (w, path (), loop))) (oneofl doc_paths)
+     else return loop)
+    >>= fun body -> return { A.funcs = []; body }
+end
+
+let arb_invariant_query =
+  QCheck.make
+    ~print:(fun q -> Xd_lang.Pp.query_to_string q)
+    (QCheck.Gen.frequency
+       [ (1, Gen_queries.gen_query); (2, Gen_loops.gen_flwor) ])
+
+let prop_invariants_differential =
+  qtest ~count:1200 "hoisted loops = per-iteration loops" arb_invariant_query
+    (fun q ->
+      let store = store () in
+      List.iter
+        (fun (uri, text) -> ignore (X.Parser.parse ~store ~uri text))
+        Gen_queries.documents;
+      let got = outcome store q in
+      let want = outcome ~schedule:per_iteration store q in
+      if got = want then true
+      else
+        let show = function
+          | Ok (s, _) -> s
+          | Error m -> m
+        in
+        QCheck.Test.fail_reportf "hoisted: %s@.per iteration: %s" (show got)
+          (show want))
+
 let test_parse_errors () =
   let fails q =
     match Xd_lang.Parser.parse_query q with
@@ -651,6 +908,16 @@ let () =
         ] );
       ( "errors",
         [ tc "dynamic" test_dynamic_errors; tc "parse" test_parse_errors ] );
+      ( "loop invariants",
+        [
+          tc "unused invariants raise nothing" test_invariant_unused;
+          tc "constructors mint per iteration" test_invariant_constructors;
+          tc "shadowing" test_invariant_shadowing;
+          tc "right operand first" test_invariant_error_order;
+          tc "scan order and promotion" test_invariant_promotion;
+          tc "function bodies see no loop cache" test_invariant_call_scope;
+          prop_invariants_differential;
+        ] );
       ( "properties",
         [
           prop_arith_matches_ocaml;
