@@ -908,7 +908,7 @@ let () =
         ] );
       ( "errors",
         [ tc "dynamic" test_dynamic_errors; tc "parse" test_parse_errors ] );
-      ( "loop invariants",
+      ( "invariants",
         [
           tc "unused invariants raise nothing" test_invariant_unused;
           tc "constructors mint per iteration" test_invariant_constructors;
