@@ -777,6 +777,9 @@ let run docs strategy explain stats code_motion types effects shapes
       | exception Xd_lang.Value.Type_error msg ->
         Printf.eprintf "type error: %s\n" msg;
         1
+      | exception (Xd_xrpc.Journal.Corrupt _ as e) ->
+        Printf.eprintf "xdxq: %s\n" (Printexc.to_string e);
+        1
       | exception (Xd_xrpc.Message.Xrpc_fault _ as e) ->
         prerr_endline (Printexc.to_string e);
         print_breakers ();

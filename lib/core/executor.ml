@@ -319,7 +319,8 @@ let recover ?timeout_s ?retries ?dedup_cap (net : Xd_xrpc.Network.t)
 (* Reference local execution (all peers' documents reachable without cost
    accounting): the semantics any decomposition must reproduce. Documents
    are resolved directly in the owning peer's store, so node identity is
-   exact. *)
+   exact, and an update swaps each new version into the store that
+   registered its document. *)
 let run_local (net : Xd_xrpc.Network.t) ~(client : Xd_xrpc.Peer.t)
     (q : Ast.query) : Value.t =
   let resolve_doc env uri =
@@ -331,4 +332,18 @@ let run_local (net : Xd_xrpc.Network.t) ~(client : Xd_xrpc.Peer.t)
       | None -> Xd_lang.Env.dynamic_error "document %S not found" doc_name)
     | None -> Xd_lang.Env.default_resolve_doc env uri
   in
-  Xd_lang.Eval.run_query ~resolve_doc (Xd_xrpc.Peer.store client) q
+  let store = Xd_xrpc.Peer.store client in
+  let pul = Xd_lang.Pul.create () in
+  let env =
+    Xd_lang.Eval.default_env ~funcs:q.Ast.funcs ~resolve_doc ~pul store
+  in
+  let v = Xd_lang.Eval.eval env q.Ast.body in
+  if not (Xd_lang.Pul.is_empty pul) then begin
+    let peers =
+      Hashtbl.fold
+        (fun _ p acc -> Xd_xrpc.Peer.store p :: acc)
+        net.Xd_xrpc.Network.peers []
+    in
+    ignore (Xd_lang.Update.apply (store :: peers) (Xd_lang.Pul.list pul))
+  end;
+  v

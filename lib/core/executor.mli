@@ -212,4 +212,5 @@ val run_local :
   Xd_lang.Value.t
 (** Reference semantics: every peer's documents resolve directly in the
     owning store, with exact node identity and no cost accounting. Any
-    decomposition must be deep-equal to this. *)
+    decomposition must be deep-equal to this. An update applies each
+    document's new version in the store of the peer that registered it. *)

@@ -533,7 +533,7 @@ let eval_and_apply env e =
   let v = eval env e in
   (match env.Env.pul with
   | Some pul when not (Pul.is_empty pul) ->
-    ignore (Update.apply env.Env.store (Pul.list pul))
+    ignore (Update.apply [ env.Env.store ] (Pul.list pul))
   | _ -> ());
   v
 

@@ -4,11 +4,12 @@
    Updating expressions evaluate to the empty sequence and append to the
    dynamic context's pending update list (PUL); the PUL is applied when the
    query completes — snapshot semantics: the query result is computed
-   against the pre-update state. Applying an update rebuilds the target
-   document (the store is immutable-per-document) and re-registers it
-   under the same document id and URI, so subsequent queries see the new
-   content while node handles held by the old result keep pointing at the
-   untouched old version. *)
+   against the pre-update state. Applying an update makes a new version of
+   each target document by array edits that share what they leave alone
+   ([Doc.splice]; a document's arrays are never written once built) and
+   swaps it in under the same document id and URI, so subsequent queries
+   see the new content while node handles held by the old result keep
+   reading the untouched old version. *)
 
 module X = Xd_xml
 open Pul
@@ -51,150 +52,81 @@ let content_of_value (v : Value.t) : X.Doc.tree list =
   in
   go false [] v
 
-(* ---- application ---------------------------------------------------- *)
+(* ---- application ----------------------------------------------------- *)
 
-(* Per-document rebuild: walk the original tree, consulting index-keyed
-   edit maps. Inserted content is emitted via the builder. *)
+(* One document's primitives as array edits ([Doc.splice]): a tree node
+   is addressed by its pre index, an attribute by its attribute index. *)
 let apply_to_doc (d : X.Doc.t) (edits : pending list) : X.Doc.t =
-  let deletes = Hashtbl.create 8 in
-  let inserts_into = Hashtbl.create 8 in
-  let inserts_before = Hashtbl.create 8 in
-  let inserts_after = Hashtbl.create 8 in
-  let replacements = Hashtbl.create 8 in
-  let renames = Hashtbl.create 8 in
-  let attr_deletes = Hashtbl.create 8 in
-  let attr_replacements = Hashtbl.create 8 in
-  let attr_renames = Hashtbl.create 8 in
-  let add tbl k v =
-    Hashtbl.replace tbl k (Option.value ~default:[] (Hashtbl.find_opt tbl k) @ v)
-  in
-  List.iter
-    (fun p ->
-      let n = target_of p in
-      let idx = X.Node.index n in
-      if X.Node.is_attribute n then
-        let key = (idx, X.Node.name n) in
-        match p with
-        | P_delete _ -> Hashtbl.replace attr_deletes key ()
-        | P_replace_value (_, s) -> Hashtbl.replace attr_replacements key s
-        | P_rename (_, nm) -> Hashtbl.replace attr_renames key nm
-        | P_insert _ ->
-          Env.dynamic_error "cannot insert into an attribute node"
-      else
-        match p with
-        | P_delete _ -> Hashtbl.replace deletes idx ()
-        | P_insert (_, Ast.Into, content) -> add inserts_into idx content
-        | P_insert (_, Ast.Before, content) -> add inserts_before idx content
-        | P_insert (_, Ast.After, content) -> add inserts_after idx content
-        | P_replace_value (_, s) -> Hashtbl.replace replacements idx s
-        | P_rename (_, nm) -> Hashtbl.replace renames idx nm)
-    edits;
-  let b = X.Doc.Builder.create ?uri:(X.Doc.uri d) () in
-  let emit_trees ts =
-    List.iter
-      (fun t ->
-        let rec go = function
-          | X.Doc.E (n, attrs, kids) ->
-            X.Doc.Builder.start_element b n attrs;
-            List.iter go kids;
-            X.Doc.Builder.end_element b
-          | X.Doc.T s -> X.Doc.Builder.text b s
-          | X.Doc.C s -> X.Doc.Builder.comment b s
-          | X.Doc.P (t, v) -> X.Doc.Builder.pi b t v
-        in
-        go t)
-      ts
-  in
-  let find tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
-  let rec emit i =
-    if not (Hashtbl.mem deletes i) then begin
-      emit_trees (find inserts_before i);
-      (match d.X.Doc.kind.(i) with
-      | X.Doc.Element ->
-        let name =
-          Option.value ~default:d.X.Doc.name.(i) (Hashtbl.find_opt renames i)
-        in
-        let attrs =
-          match d.X.Doc.attr_first.(i) with
-          | -1 -> []
-          | first ->
-            List.filter_map
-              (fun k ->
-                let an = d.X.Doc.attr_name.(first + k) in
-                if Hashtbl.mem attr_deletes (i, an) then None
-                else
-                  let an' =
-                    Option.value ~default:an
-                      (Hashtbl.find_opt attr_renames (i, an))
-                  in
-                  let av =
-                    Option.value
-                      ~default:d.X.Doc.attr_value.(first + k)
-                      (Hashtbl.find_opt attr_replacements (i, an))
-                  in
-                  Some (an', av))
-              (List.init d.X.Doc.attr_count.(i) Fun.id)
-        in
-        X.Doc.Builder.start_element b name attrs;
-        (match Hashtbl.find_opt replacements i with
-        | Some s -> X.Doc.Builder.text b s (* replace value of element *)
-        | None -> emit_children i);
-        emit_trees (find inserts_into i);
-        X.Doc.Builder.end_element b
-      | X.Doc.Text ->
-        X.Doc.Builder.text b
-          (Option.value ~default:d.X.Doc.value.(i) (Hashtbl.find_opt replacements i))
-      | X.Doc.Comment ->
-        X.Doc.Builder.comment b
-          (Option.value ~default:d.X.Doc.value.(i) (Hashtbl.find_opt replacements i))
-      | X.Doc.Pi ->
-        X.Doc.Builder.pi b
-          (Option.value ~default:d.X.Doc.name.(i) (Hashtbl.find_opt renames i))
-          d.X.Doc.value.(i)
-      | X.Doc.Document -> emit_children i);
-      emit_trees (find inserts_after i)
-    end
-  and emit_children i =
-    let stop = i + d.X.Doc.size.(i) in
-    let j = ref (i + 1) in
-    while !j <= stop do
-      emit !j;
-      j := !j + d.X.Doc.size.(!j) + 1
-    done
-  in
-  emit_children 0;
-  emit_trees (find inserts_into 0);
-  X.Doc.Builder.finish b
+  X.Doc.splice d
+    (List.map
+       (fun p ->
+         let n = target_of p in
+         if X.Node.is_attribute n then
+           let a = n.X.Node.attr in
+           match p with
+           | P_delete _ -> X.Doc.Delete_attr a
+           | P_replace_value (_, s) -> X.Doc.Replace_attr_value (a, s)
+           | P_rename (_, nm) -> X.Doc.Rename_attr (a, nm)
+           | P_insert _ ->
+             Env.dynamic_error "cannot insert into an attribute node"
+         else
+           let i = X.Node.index n in
+           match p with
+           | P_delete _ -> X.Doc.Delete i
+           | P_insert (_, pos, content) ->
+             let pos =
+               match pos with
+               | Ast.Before -> X.Doc.Before
+               | Ast.After -> X.Doc.After
+               | Ast.Into -> X.Doc.Into
+             in
+             X.Doc.Insert (i, pos, content)
+           | P_replace_value (_, s) -> X.Doc.Replace_value (i, s)
+           | P_rename (_, nm) -> X.Doc.Rename (i, nm))
+       edits)
 
-(* Apply a pending update list: group by target document, rebuild each, and
-   re-register the results in the owning store under the same ids and URIs.
-   Two phases — all rebuilds (which may fail) complete before the first
-   document is swapped in, so a failing PUL leaves the store untouched and
-   a staged-PUL commit is all-or-nothing locally. *)
-let apply (store : X.Store.t) (pul : pending list) : int =
-  let by_doc = Hashtbl.create 4 in
-  let order = ref [] in
-  List.iter
-    (fun p ->
-      let d = (target_of p).X.Node.doc in
-      (match Hashtbl.find_opt by_doc d.X.Doc.did with
-      | None ->
-        order := d.X.Doc.did :: !order;
-        Hashtbl.replace by_doc d.X.Doc.did (d, [ p ])
-      | Some (d0, edits) -> Hashtbl.replace by_doc d.X.Doc.did (d0, p :: edits)))
-    pul;
-  let rebuilt =
-    List.rev_map
-      (fun did ->
-        let d, edits = Hashtbl.find by_doc did in
-        (d, apply_to_doc d (List.rev edits)))
-      !order
+(* Apply a pending update list: group by target document, edit each, and
+   swap every new version into the store that registered its document,
+   under the same id and uri. Two phases — every edit (which may fail)
+   completes, and every owner is found, before the first document is
+   swapped in, so a failing PUL leaves the stores untouched and a
+   staged-PUL commit is all-or-nothing locally. *)
+let apply (stores : X.Store.t list) (pul : pending list) : int =
+  let groups =
+    List.fold_left
+      (fun groups p ->
+        let d = (target_of p).X.Node.doc in
+        match List.assq_opt d groups with
+        | Some edits ->
+          edits := p :: !edits;
+          groups
+        | None -> (d, ref [ p ]) :: groups)
+      [] pul
   in
-  X.Store.swap_all store rebuilt;
+  let edited =
+    List.rev_map (fun (d, edits) -> (d, apply_to_doc d (List.rev !edits))) groups
+  in
+  let by_store =
+    List.fold_left
+      (fun by_store ((d, _) as pair) ->
+        match List.find_opt (fun s -> X.Store.holds s d) stores with
+        | None ->
+          invalid_arg "Update.apply: document not registered in any given store"
+        | Some s -> (
+          match List.assq_opt s by_store with
+          | Some pairs ->
+            pairs := pair :: !pairs;
+            by_store
+          | None -> (s, ref [ pair ]) :: by_store))
+      [] edited
+  in
+  List.iter
+    (fun (s, pairs) -> X.Store.swap_all s (List.rev !pairs))
+    (List.rev by_store);
   List.length pul
 
 (* Commit a transaction's staged PULs (journal/wire form, in staging
    order): deserialize them all, then apply as one list — so commit and
    crash-recovery replay share one code path and one atomicity argument. *)
 let apply_staged (store : X.Store.t) (staged : string list) : int =
-  apply store (List.concat_map (fun s -> Pul.of_xml ~store s) staged)
+  apply [ store ] (List.concat_map (fun s -> Pul.of_xml ~store s) staged)

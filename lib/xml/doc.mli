@@ -41,11 +41,13 @@ val id : t -> int
 exception Malformed of string
 
 (** Imperative SAX-style document builder — the one way every document
-    is made (parsed, shredded from a message, rebuilt by an update,
-    projected, constructed). The pre-order arrays grow in place and the
-    element stack is an int array of open pre indexes; attributes need no
-    sort because they arrive grouped by owner in pre-order. Adjacent text
-    is coalesced and empty text nodes are dropped, per the XDM. *)
+    is made from events (parsed, shredded from a message, projected,
+    constructed; an update's structural edits re-emit the nodes they
+    touch through it, see {!splice}). The pre-order arrays grow in place
+    and the element stack is an int array of open pre indexes; attributes
+    need no sort because they arrive grouped by owner in pre-order.
+    Adjacent text is coalesced and empty text nodes are dropped, per the
+    XDM. *)
 module Builder : sig
   type b
 
@@ -81,3 +83,46 @@ val of_forest : ?uri:string -> tree list -> t
 
 val of_tree : ?uri:string -> tree -> t
 (** [of_forest [t]]. *)
+
+(** {2 Updates as array edits}
+
+    The XQUF update primitives on one document, addressed by the old
+    version's pre index (tree nodes) or attribute index. *)
+
+type position =
+  | Before
+  | After
+  | Into  (** as the last children *)
+
+type edit =
+  | Insert of int * position * tree list
+  | Delete of int
+  | Replace_value of int * string
+      (** text, comment or PI content; an element's children become one
+          text node (none for [""]) *)
+  | Rename of int * string  (** element or PI; ignored on other kinds *)
+  | Delete_attr of int
+  | Replace_attr_value of int * string
+  | Rename_attr of int * string
+
+val splice : t -> edit list -> t
+(** The document after the edits, unregistered ([did = -1]), with the
+    same uri. The old document's arrays are never written, so handles on
+    it keep reading the old version.
+
+    - A later rename or value of one target wins; inserted content
+      accumulates in edit order. Edits of the document node other than an
+      insert into it are ignored.
+    - Application order (XQUF 1.0 §3.2.2): inserts apply before deletes,
+      so content inserted before or after a deleted node stays; an
+      element's content replacement applies after inserts, so content
+      inserted into it or among its children is dropped.
+    - Renames, attribute names and values, comment and PI values, text
+      values other than [""], and the content of an element whose only
+      child is one text node by a non-empty string are slot edits: each
+      written array is copied once and every other array is the old one,
+      physically. An attribute delete rewrites the five attribute arrays.
+    - Any other edit is structural: untouched runs of sibling subtrees
+      are blitted, the edited nodes and their ancestors are re-emitted,
+      and text meeting at a splice merges (empty text drops), as the
+      {!Builder} does. *)

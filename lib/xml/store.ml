@@ -49,9 +49,15 @@ let add_with_did t doc did =
 
 let find_did t did = Hashtbl.find_opt t.by_did did
 
-(* Replace a registered document with a rebuilt version (XQUF apply): the
+let holds t doc =
+  match Hashtbl.find_opt t.by_did doc.Doc.did with
+  | Some d -> d == doc
+  | None -> false
+
+(* Replace a registered document with its new version (XQUF apply): the
    new document takes over the old one's id and uri bindings. Handles held
-   on the old version keep working against its unchanged arrays. *)
+   on the old version keep working against its arrays, which the new
+   version shares or copies but never writes. *)
 let replace_doc t old_doc new_doc =
   if new_doc.Doc.did >= 0 then
     invalid_arg "Store.replace_doc: replacement already registered";

@@ -22,10 +22,15 @@ val add_with_did : t -> Doc.t -> int -> Doc.t
 val find_uri : t -> string -> Doc.t option
 val find_did : t -> int -> Doc.t option
 
+val holds : t -> Doc.t -> bool
+(** The document is registered here and is the current version of its
+    id (physically), not an older version an update replaced. *)
+
 val replace_doc : t -> Doc.t -> Doc.t -> Doc.t
-(** [replace_doc t old new] — the rebuilt document takes over the old
-    one's id and uri bindings (XQUF application). Handles on the old
-    version keep reading its unchanged arrays. *)
+(** [replace_doc t old new] — the new version takes over the old one's
+    id and uri bindings (XQUF application). Handles on the old version
+    keep reading its arrays, which the new version shares or copies but
+    never writes ({!Doc.splice}). *)
 
 val swap_all : t -> (Doc.t * Doc.t) list -> unit
 (** Replace several documents at once (staged-PUL commit): every pair is

@@ -38,15 +38,26 @@ let record_to_line = function
 
 let record_of_line line =
   match String.split_on_char '\t' line with
-  | [ "staged"; txn; req; pul ] -> Staged { txn; req; pul = Scanf.unescaped pul }
-  | [ "prepared"; txn ] -> Prepared { txn }
-  | [ "committed"; txn ] -> Committed { txn }
-  | [ "aborted"; txn ] -> Aborted { txn }
-  | [ "begun"; txn ] -> Begun { txn }
-  | [ "participant"; txn; host ] -> Participant { txn; host }
-  | [ "decided"; txn ] -> Decided { txn }
-  | [ "resolved"; txn ] -> Resolved { txn }
-  | _ -> failwith (Printf.sprintf "Journal: corrupt record %S" line)
+  | [ "staged"; txn; req; pul ] -> (
+    match Scanf.unescaped pul with
+    | pul -> Some (Staged { txn; req; pul })
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
+  | [ "prepared"; txn ] -> Some (Prepared { txn })
+  | [ "committed"; txn ] -> Some (Committed { txn })
+  | [ "aborted"; txn ] -> Some (Aborted { txn })
+  | [ "begun"; txn ] -> Some (Begun { txn })
+  | [ "participant"; txn; host ] -> Some (Participant { txn; host })
+  | [ "decided"; txn ] -> Some (Decided { txn })
+  | [ "resolved"; txn ] -> Some (Resolved { txn })
+  | _ -> None
+
+exception Corrupt of { file : string; line : int; text : string }
+
+let () =
+  Printexc.register_printer (function
+    | Corrupt { file; line; text } ->
+      Some (Printf.sprintf "%s:%d: corrupt journal record %S" file line text)
+    | _ -> None)
 
 (* Volatile staged-transaction state, rebuilt from records on restart. *)
 type staged = {
@@ -266,23 +277,36 @@ let in_memory ~peer =
     last_txn = 0;
   }
 
+(* The records of a journal file, newest first. Every append ends in a
+   newline, so bytes after the last one are an append that a crash cut
+   short: they are dropped, and cut off the file before it is appended
+   to. A complete line that is no record is corruption. *)
+let read_records path =
+  if not (Sys.file_exists path) then []
+  else begin
+    let ic = open_in_bin path in
+    let data = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let complete =
+      match String.rindex_opt data '\n' with Some k -> k + 1 | None -> 0
+    in
+    if complete < String.length data then Unix.truncate path complete;
+    let lines = String.split_on_char '\n' (String.sub data 0 complete) in
+    List.fold_left
+      (fun (acc, n) text ->
+        if text = "" then (acc, n + 1)
+        else
+          match record_of_line text with
+          | Some r -> (r :: acc, n + 1)
+          | None -> raise (Corrupt { file = path; line = n; text }))
+      ([], 1) lines
+    |> fst
+  end
+
 let open_file ~dir ~peer =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let path = Filename.concat dir (peer ^ ".journal") in
-  let existing =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (if line = "" then acc else record_of_line line :: acc)
-        | exception End_of_file -> acc
-      in
-      let recs = go [] in
-      close_in ic;
-      recs
-    end
-    else []
-  in
+  let existing = read_records path in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   let t =
     {

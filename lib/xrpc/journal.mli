@@ -24,11 +24,18 @@ type record =
 
 type t
 
+exception Corrupt of { file : string; line : int; text : string }
+(** A complete line of a journal file that is no record: the file, the
+    line's number (from 1) and its text. *)
+
 val in_memory : peer:string -> t
 val open_file : dir:string -> peer:string -> t
 (** File-backed journal at [<dir>/<peer>.journal]; existing records are
     replayed as a crash-restart (presumed abort for unprepared stages).
-    @raise Failure on a corrupt journal file. *)
+    Every record is one newline-terminated line, so an unterminated last
+    line is an append a crash cut short: it is dropped, and the file is
+    cut back to its last newline before anything is appended.
+    @raise Corrupt on a complete line that is no record. *)
 
 val records : t -> record list
 (** Oldest first. *)

@@ -1961,7 +1961,7 @@ and apply_updates session (env : Env.t) =
   | Some pul ->
     let pending = Xd_lang.Pul.list pul in
     validate_update_targets session pending;
-    ignore (Xd_lang.Update.apply (Peer.store session.self) pending)
+    ignore (Xd_lang.Update.apply [ Peer.store session.self ] pending)
 
 (* ---------------- coordinator (2PC driver) ----------------------------- *)
 

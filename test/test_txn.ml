@@ -317,6 +317,50 @@ let test_journal_file () =
   check_bool "unprepared stage presumed aborted across reopen"
     (J.commit j4 ~txn:"t2" = `Unknown)
 
+(* a crash in the middle of an append leaves a torn last line: reopening
+   drops it (and cuts it off the file), so the journal reads as if that
+   append never happened — cut anywhere inside the last record of each
+   journal a two-site update wrote *)
+let test_journal_torn_tail () =
+  let dir = "txn-journal-torn" in
+  fresh_dir dir;
+  let net, client = make_net ~journal_dir:dir () in
+  ignore (E.run net ~client S.By_fragment (parse q_delete_two));
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let probe = Filename.concat dir "probe.journal" in
+  let reopen bytes =
+    Out_channel.with_open_bin probe (fun oc -> output_string oc bytes);
+    let j = J.open_file ~dir ~peer:"probe" in
+    (J.in_doubt j, J.unresolved j)
+  in
+  List.iter
+    (fun peer ->
+      let data = read (Filename.concat dir (peer ^ ".journal")) in
+      let len = String.length data in
+      let last =
+        match String.rindex_from_opt data (len - 2) '\n' with
+        | Some k -> k + 1
+        | None -> 0
+      in
+      let without = reopen (String.sub data 0 last) in
+      for cut = last to len - 1 do
+        let torn = String.sub data 0 cut in
+        check_bool
+          (Printf.sprintf "%s cut at %d reads as without its last record" peer cut)
+          (reopen torn = without);
+        let now = read probe in
+        check_bool
+          (Printf.sprintf "%s cut at %d: torn bytes gone" peer cut)
+          (String.starts_with ~prefix:(String.sub data 0 last) now
+          && (now = "" || now.[String.length now - 1] = '\n'))
+      done)
+    [ "client"; "peerA"; "peerB" ];
+  Out_channel.with_open_bin probe (fun oc -> output_string oc "prepared\tt1\nbogus\n");
+  check_bool "a complete line that is no record is typed corruption"
+    (match J.open_file ~dir ~peer:"probe" with
+    | _ -> false
+    | exception J.Corrupt { file; line = 2; text = "bogus" } -> file = probe)
+
 (* end-to-end with file-backed journals: an interrupted commit settles
    correctly and the journal files exist on disk *)
 let test_journal_dir_end_to_end () =
@@ -446,6 +490,24 @@ let test_single_site_wire_identity () =
       check_bool "identical state" (s_auto = s_off))
     [ S.By_fragment; S.By_projection ]
 
+(* ---- the local reference applies updates where documents live ------------ *)
+
+(* run_local swaps each updated document into the store of the peer that
+   registered it: on a fresh network it must leave the world the
+   fault-free transactional run leaves *)
+let test_run_local_updates () =
+  List.iter
+    (fun src ->
+      let ref_state =
+        match reference ~strategy:S.By_fragment ~txn:`Auto src with
+        | Some (_, st) -> st
+        | None -> Alcotest.fail "reference run failed"
+      in
+      let net, client = make_net () in
+      ignore (E.run_local net ~client (parse src));
+      check_slist "run_local leaves the 2PC world" ref_state (world_state net))
+    (q_single :: Array.to_list queries)
+
 (* ---- the static site analysis -------------------------------------------- *)
 
 let test_txn_needed () =
@@ -501,11 +563,13 @@ let () =
           tc "recovery finishes a decided commit" test_recover_finishes_commit;
           tc "journal semantics (memory)" test_journal_memory;
           tc "journal durability (file)" test_journal_file;
+          tc "torn journal tail is dropped" test_journal_torn_tail;
           tc "file-backed journals end to end" test_journal_dir_end_to_end;
           tc "dedup cache is bounded" test_dedup_cache_bounded;
           tc "sequential two-site updates all apply" test_sequential_txns_apply;
           tc "txn ids resume across sessions and reopen" test_txn_ids_resume;
           tc "single-site wire identity" test_single_site_wire_identity;
+          tc "run_local applies where docs live" test_run_local_updates;
           tc "txn_needed site analysis" test_txn_needed;
         ] );
     ]

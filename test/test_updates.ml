@@ -119,6 +119,37 @@ let test_updated_doc_well_formed () =
   let _ = X.Store.add st (X.Parser.parse_doc ~uri:"x" (doc_str d)) in
   ()
 
+(* XQUF 1.0 §3.2.2 application order: inserts apply before deletes, and
+   an element's content replacement applies after inserts *)
+let test_insert_survives_delete () =
+  let d =
+    run_update "<r><a/><c/></r>"
+      {|(insert node <b/> before doc("d.xml")/r/c, delete node doc("d.xml")/r/c)|}
+  in
+  check_string "content inserted before a deleted node stays" "<r><a/><b/></r>"
+    (doc_str d);
+  let d =
+    run_update "<r>x<c/>y</r>"
+      {|(delete node doc("d.xml")/r/c, insert node "m" after doc("d.xml")/r/c)|}
+  in
+  check_string "and its text merges with both neighbours" "<r>xmy</r>" (doc_str d)
+
+let test_replace_drops_inserted () =
+  let d =
+    run_update "<r><a/></r>"
+      {|(insert node <x/> into doc("d.xml")/r/a,
+         replace value of node doc("d.xml")/r/a with "v")|}
+  in
+  check_string "content inserted into a replaced element is dropped"
+    "<r><a>v</a></r>" (doc_str d)
+
+let test_replace_pi_value () =
+  let d =
+    run_update "<r><?go data?></r>"
+      {|replace value of node doc("d.xml")/r/node() with "new"|}
+  in
+  check_string "PI content replaced" "<r><?go new?></r>" (doc_str d)
+
 let test_readonly_context_rejects () =
   let st = store () in
   let _ = X.Parser.parse ~store:st ~uri:"d.xml" "<r/>" in
@@ -144,6 +175,305 @@ let test_update_parses_and_prints () =
       {|replace value of node doc("d.xml")/r/x with "v"|};
       {|rename node doc("d.xml")/r/x as "y"|};
     ]
+
+(* ---- array edits against a node-by-node rebuild ------------------------ *)
+
+(* The reference: walk the old tree in pre-order and emit the new
+   document node by node through the builder, consulting per-target edit
+   tables. Later renames and values of a target win; inserted content
+   accumulates. XQUF order: content inserted before or after a node
+   survives its delete, and a replaced element drops what was inserted
+   into it. *)
+let rebuild (d : X.Doc.t) (edits : Xd_lang.Pul.pending list) : X.Doc.t =
+  let module P = Xd_lang.Pul in
+  let deletes = Hashtbl.create 8 in
+  let inserts = Hashtbl.create 8 in
+  let replacements = Hashtbl.create 8 in
+  let renames = Hashtbl.create 8 in
+  let attr_deletes = Hashtbl.create 8 in
+  let attr_replacements = Hashtbl.create 8 in
+  let attr_renames = Hashtbl.create 8 in
+  List.iter
+    (fun p ->
+      let n = P.target_of p in
+      let idx = X.Node.index n in
+      if X.Node.is_attribute n then
+        let key = (idx, X.Node.name n) in
+        match p with
+        | P.P_delete _ -> Hashtbl.replace attr_deletes key ()
+        | P.P_replace_value (_, s) -> Hashtbl.replace attr_replacements key s
+        | P.P_rename (_, nm) -> Hashtbl.replace attr_renames key nm
+        | P.P_insert _ -> Alcotest.fail "insert into an attribute"
+      else
+        match p with
+        | P.P_delete _ -> Hashtbl.replace deletes idx ()
+        | P.P_insert (_, pos, content) ->
+          let prev = Hashtbl.find_opt inserts (idx, pos) in
+          Hashtbl.replace inserts (idx, pos)
+            (Option.value ~default:[] prev @ content)
+        | P.P_replace_value (_, s) -> Hashtbl.replace replacements idx s
+        | P.P_rename (_, nm) -> Hashtbl.replace renames idx nm)
+    edits;
+  let b = X.Doc.Builder.create ?uri:(X.Doc.uri d) () in
+  let rec tree = function
+    | X.Doc.E (n, attrs, kids) ->
+      X.Doc.Builder.start_element b n attrs;
+      List.iter tree kids;
+      X.Doc.Builder.end_element b
+    | X.Doc.T s -> X.Doc.Builder.text b s
+    | X.Doc.C s -> X.Doc.Builder.comment b s
+    | X.Doc.P (t, v) -> X.Doc.Builder.pi b t v
+  in
+  let inserted i pos =
+    List.iter tree (Option.value ~default:[] (Hashtbl.find_opt inserts (i, pos)))
+  in
+  let find tbl k dflt = Option.value ~default:dflt (Hashtbl.find_opt tbl k) in
+  let rec emit i =
+    inserted i Xd_lang.Ast.Before;
+    (if not (Hashtbl.mem deletes i) then
+       match d.X.Doc.kind.(i) with
+       | X.Doc.Element ->
+         let attrs =
+           List.filter_map
+             (fun k ->
+               let an = d.X.Doc.attr_name.(k) in
+               if Hashtbl.mem attr_deletes (i, an) then None
+               else
+                 Some
+                   ( find attr_renames (i, an) an,
+                     find attr_replacements (i, an) d.X.Doc.attr_value.(k) ))
+             (List.init d.X.Doc.attr_count.(i) (fun k ->
+                  d.X.Doc.attr_first.(i) + k))
+         in
+         X.Doc.Builder.start_element b (find renames i d.X.Doc.name.(i)) attrs;
+         (match Hashtbl.find_opt replacements i with
+         | Some s -> X.Doc.Builder.text b s
+         | None ->
+           emit_children i;
+           inserted i Xd_lang.Ast.Into);
+         X.Doc.Builder.end_element b
+       | X.Doc.Text ->
+         X.Doc.Builder.text b (find replacements i d.X.Doc.value.(i))
+       | X.Doc.Comment ->
+         X.Doc.Builder.comment b (find replacements i d.X.Doc.value.(i))
+       | X.Doc.Pi ->
+         X.Doc.Builder.pi b (find renames i d.X.Doc.name.(i))
+           (find replacements i d.X.Doc.value.(i))
+       | X.Doc.Document -> emit_children i);
+    inserted i Xd_lang.Ast.After
+  and emit_children i =
+    let stop = i + d.X.Doc.size.(i) in
+    let j = ref (i + 1) in
+    while !j <= stop do
+      emit !j;
+      j := !j + d.X.Doc.size.(!j) + 1
+    done
+  in
+  emit_children 0;
+  inserted 0 Xd_lang.Ast.Into;
+  X.Doc.Builder.finish b
+
+(* A generated primitive, on a tree node's pre index or an attribute
+   index of the document it was drawn for. *)
+type target = Tree of int | Attr of int
+
+type prim =
+  | Ins of int * Xd_lang.Ast.insert_pos * X.Doc.tree list
+  | Del of target
+  | Val of target * string
+  | Ren of target * string
+
+let node_of d = function
+  | Tree i -> X.Node.of_tree d i
+  | Attr a -> X.Node.of_attr d a
+
+let pending d = function
+  | Ins (i, pos, c) -> Xd_lang.Pul.P_insert (X.Node.of_tree d i, pos, c)
+  | Del t -> Xd_lang.Pul.P_delete (node_of d t)
+  | Val (t, s) -> Xd_lang.Pul.P_replace_value (node_of d t, s)
+  | Ren (t, s) -> Xd_lang.Pul.P_rename (node_of d t, s)
+
+let print_prim =
+  let tgt = function
+    | Tree i -> string_of_int i
+    | Attr a -> "@" ^ string_of_int a
+  in
+  let print_tree = Option.get (QCheck.get_print arb_tree) in
+  function
+  | Ins (i, pos, c) ->
+    Printf.sprintf "insert [%s] %s %d"
+      (String.concat ", " (List.map print_tree c))
+      (match pos with
+      | Xd_lang.Ast.Before -> "before"
+      | Xd_lang.Ast.After -> "after"
+      | Xd_lang.Ast.Into -> "into")
+      i
+  | Del t -> "delete " ^ tgt t
+  | Val (t, s) -> Printf.sprintf "value %s %S" (tgt t) s
+  | Ren (t, s) -> Printf.sprintf "rename %s %S" (tgt t) s
+
+(* The arrays a slot-only primitive writes, by field name; [None] when
+   the primitive changes structure. *)
+let slot_writes (d : X.Doc.t) = function
+  | Ins _ | Del (Tree _) -> None
+  | Del (Attr _) ->
+    Some [ "attr_owner"; "attr_name"; "attr_value"; "attr_first"; "attr_count" ]
+  | Ren (Attr _, _) -> Some [ "attr_name" ]
+  | Val (Attr _, _) -> Some [ "attr_value" ]
+  | Ren (Tree i, _) -> (
+    match d.X.Doc.kind.(i) with
+    | X.Doc.Element | X.Doc.Pi -> Some [ "name" ]
+    | _ -> Some [])
+  | Val (Tree i, s) -> (
+    match d.X.Doc.kind.(i) with
+    | X.Doc.Comment | X.Doc.Pi -> Some [ "value" ]
+    | X.Doc.Text when s <> "" -> Some [ "value" ]
+    | X.Doc.Element
+      when s <> "" && d.X.Doc.size.(i) = 1 && d.X.Doc.kind.(i + 1) = X.Doc.Text ->
+      Some [ "value" ]
+    | _ -> None)
+
+(* the ten arrays by field name: is each the same array in [a] and [b]? *)
+let shared (a : X.Doc.t) (b : X.Doc.t) =
+  X.Doc.
+    [
+      ("kind", a.kind == b.kind); ("name", a.name == b.name);
+      ("value", a.value == b.value); ("parent", a.parent == b.parent);
+      ("size", a.size == b.size); ("attr_owner", a.attr_owner == b.attr_owner);
+      ("attr_name", a.attr_name == b.attr_name);
+      ("attr_value", a.attr_value == b.attr_value);
+      ("attr_first", a.attr_first == b.attr_first);
+      ("attr_count", a.attr_count == b.attr_count);
+    ]
+
+let copy (d : X.Doc.t) =
+  X.Doc.
+    {
+      d with
+      kind = Array.copy d.kind; name = Array.copy d.name;
+      value = Array.copy d.value; parent = Array.copy d.parent;
+      size = Array.copy d.size; attr_owner = Array.copy d.attr_owner;
+      attr_name = Array.copy d.attr_name; attr_value = Array.copy d.attr_value;
+      attr_first = Array.copy d.attr_first; attr_count = Array.copy d.attr_count;
+    }
+
+(* Random primitives over a document: targets drawn from a few nodes so
+   that several edits meet on one target; deletes drawn among nodes with
+   text on both sides; content with text at both ends; empty and
+   non-empty values. [slots] draws slot edits only. *)
+let gen_prims ~slots (d : X.Doc.t) =
+  let open QCheck.Gen in
+  let n = X.Doc.n_nodes d and na = X.Doc.n_attrs d in
+  let text_at i = i > 0 && i < n && d.X.Doc.kind.(i) = X.Doc.Text in
+  let between_text =
+    List.filter
+      (fun i ->
+        let next = i + d.X.Doc.size.(i) + 1 in
+        text_at (i - 1) && d.X.Doc.parent.(i - 1) = d.X.Doc.parent.(i)
+        && text_at next && d.X.Doc.parent.(next) = d.X.Doc.parent.(i))
+      (List.init (max 0 (n - 1)) (fun i -> i + 1))
+  in
+  let* focus = list_size (int_range 1 3) (int_bound (n - 1)) in
+  let tree_target = frequency [ (3, oneofl focus); (1, int_bound (n - 1)) ] in
+  let target =
+    if na = 0 then map (fun i -> Tree i) tree_target
+    else
+      frequency
+        [
+          (3, map (fun i -> Tree i) tree_target);
+          (1, map (fun a -> Attr a) (int_bound (na - 1)));
+        ]
+  in
+  let value = oneofl [ ""; "v"; "w x"; " " ] in
+  let name = oneofl [ "a"; "nm"; "go" ] in
+  let content =
+    let item =
+      oneofl
+        [
+          X.Doc.T ""; X.Doc.T "s"; X.Doc.C "c"; X.Doc.P ("p", "d");
+          X.Doc.E ("n", [ ("k", "v") ], [ X.Doc.T "in" ]); X.Doc.E ("m", [], []);
+        ]
+    in
+    frequency
+      [
+        (2, list_size (int_bound 3) item);
+        ( 1,
+          map3
+            (fun l mid r -> (X.Doc.T l :: mid) @ [ X.Doc.T r ])
+            (oneofl [ "l"; "" ])
+            (list_size (int_bound 2) item)
+            (oneofl [ "r"; "" ]) );
+      ]
+  in
+  let slot =
+    let* t = target in
+    let* s = value in
+    let* nm = name in
+    let* r = float_bound_exclusive 1. in
+    match (t, r) with
+    | Attr _, r when r < 0.2 -> return (Del t)
+    | _, r when r < 0.5 -> return (Ren (t, nm))
+    | _ ->
+      (* a value that would change structure becomes a rename *)
+      return (if slot_writes d (Val (t, s)) = None then Ren (t, nm) else Val (t, s))
+  in
+  let any =
+    frequency
+      [
+        (3, map3 (fun i pos c -> Ins (i, pos, c))
+              (frequency [ (4, tree_target); (1, return 0) ])
+              (oneofl Xd_lang.Ast.[ Before; After; Into ])
+              content);
+        (2, map (fun t -> Del t) target);
+        ( (if between_text = [] then 0 else 2),
+          map (fun i -> Del (Tree i)) (oneofl (if between_text = [] then [ 0 ] else between_text))
+        );
+        (3, map2 (fun t s -> Val (t, s)) target value);
+        (2, map2 (fun t s -> Ren (t, s)) target name);
+      ]
+  in
+  if n = 1 then map (fun c -> [ Ins (0, Xd_lang.Ast.Into, c) ]) content
+  else list_size (int_range 1 6) (if slots then slot else any)
+
+let arb_splice =
+  let open QCheck.Gen in
+  let gen =
+    let* forest = gen_forest in
+    let d = X.Doc.of_forest forest in
+    let* slots = bool in
+    let* prims = gen_prims ~slots d in
+    return (forest, prims)
+  in
+  let print_forest = Option.get (QCheck.get_print arb_forest) in
+  QCheck.make
+    ~print:(fun (forest, prims) ->
+      print_forest forest ^ "\n  "
+      ^ String.concat "; " (List.map print_prim prims))
+    gen
+
+let prop_splice =
+  qtest ~count:1000 "array edits match the rebuild" arb_splice
+    (fun (forest, prims) ->
+      let d = X.Doc.of_forest forest in
+      let before = copy d in
+      let pul = List.map (pending d) prims in
+      let spliced = Xd_lang.Update.apply_to_doc d pul in
+      let written =
+        List.fold_left
+          (fun acc p ->
+            match (acc, slot_writes d p) with
+            | Some ws, Some w -> Some (w @ ws)
+            | _ -> None)
+          (Some []) prims
+      in
+      (* unregistered, so [=] compares the uri and the ten arrays *)
+      spliced = rebuild d pul
+      && d = before
+      &&
+      match written with
+      | None -> true
+      | Some ws ->
+        List.for_all (fun (f, same) -> same || List.mem f ws) (shared d spliced))
 
 (* ---- distribution ------------------------------------------------------- *)
 
@@ -297,7 +627,11 @@ let () =
           tc "well-formed result" test_updated_doc_well_formed;
           tc "read-only context" test_readonly_context_rejects;
           tc "syntax round-trip" test_update_parses_and_prints;
+          tc "insert survives delete" test_insert_survives_delete;
+          tc "replace drops inserted" test_replace_drops_inserted;
+          tc "replace PI value" test_replace_pi_value;
         ] );
+      ("splice", [ prop_splice ]);
       ( "distribution",
         [
           tc "pushed to owner" test_remote_update_pushed;

@@ -63,6 +63,53 @@ let arb_tree =
   in
   QCheck.make ~print gen_tree
 
+(* Forests of [sized_tree]'s trees, plus what the builder must normalise
+   or keep apart: comments, PIs, empty text and adjacent text runs. *)
+let gen_forest =
+  let open QCheck.Gen in
+  let extra =
+    oneof
+      [
+        map (fun s -> X.Doc.C s) (oneofl [ ""; "note"; " c " ]);
+        map2
+          (fun t d -> X.Doc.P (t, d))
+          (oneofl [ "pi"; "go" ])
+          (oneofl [ ""; "data x" ]);
+        map (fun s -> X.Doc.T s) (oneofl [ ""; ""; " "; "t"; "&amp" ]);
+      ]
+  in
+  (* [extras] spliced into [ts] at random positions *)
+  let splice ts =
+    let* extras =
+      list_size (int_bound 3) (pair (int_bound (List.length ts)) extra)
+    in
+    return
+      (List.concat
+         (List.mapi
+            (fun i t ->
+              List.filter_map
+                (fun (at, x) -> if at = i then Some x else None)
+                extras
+              @ [ t ])
+            (ts @ [ X.Doc.T "" ])))
+  in
+  let rec enrich = function
+    | X.Doc.E (name, attrs, cs) ->
+      let* cs = flatten_l (List.map enrich cs) in
+      let* cs = splice cs in
+      return (X.Doc.E (name, attrs, cs))
+    | t -> return t
+  in
+  sized (fun n ->
+      let* ts = list_size (int_bound 4) (sized_tree n >>= enrich) in
+      splice ts)
+
+let arb_forest =
+  let print_tree = Option.get (QCheck.get_print arb_tree) in
+  QCheck.make
+    ~print:(fun ts -> String.concat " | " (List.map print_tree ts))
+    gen_forest
+
 (* Wrap a generated tree in a root element so it is a well-formed document. *)
 let root_of_tree t = X.Doc.E ("root", [], [ t ])
 
