@@ -23,15 +23,31 @@
         semantics;
    iv.  no fn:root/fn:id/fn:idref on shipped nodes (lifted by
         pass-by-projection). Unknown (non-inlinable) user function calls
-        are treated like condition-iv vertices, conservatively. *)
+        are treated like condition-iv vertices, conservatively.
+
+   Each condition is a set test over facts derived once per context
+   (DESIGN.md, "Insertion conditions over per-graph facts"). Over the
+   d-graph's pre-order ranks, Gs is the interval [rs, stop rs); the users
+   of rs's result are the bit row users(rs) outside Gs; the remote body's
+   uses of a parameter are users(vr) inside Gs, for each varref vr
+   leaving Gs. The vertices a condition can fire on are sets fixed per
+   context (their hasMatchingDoc guard already applied), and so is the
+   set of vertices that reach a dangerous producer. A vertex rs is valid
+   iff none of these sets meets the matching use set. *)
 
 module Ast = Xd_lang.Ast
 module Dg = Xd_dgraph.Dgraph
+module Bits = Xd_dgraph.Bits
 
 (* Derived from the evaluator's own registry list, so a builtin added
    there is automatically known here (and to the plan verifier) — a
    hand-copied list cannot drift. *)
 let known_builtins = Xd_lang.Builtin_names.all
+
+let known =
+  let h = Hashtbl.create 128 in
+  List.iter (fun name -> Hashtbl.replace h name ()) known_builtins;
+  h
 
 (* condition-iii dangerous producers, per strategy *)
 let bad_mixer strategy (m : Ast.expr) =
@@ -50,99 +66,94 @@ let bad_mixer strategy (m : Ast.expr) =
 
 type ctx = {
   g : Dg.t;
-  strategy : Strategy.t;
-  all : Ast.expr list;
-  outgoing : (int, (int * int) list) Hashtbl.t; (* memo: rs -> varrefs out *)
-  atomic : int -> bool;
-      (* typing fact: the vertex provably produces only atomic values.
-         Atomic values have no identity, order or structure an XRPC
-         message copy could damage, so conditions i–iv need not fire on
-         uses of a proven-atomic result, nor on remote uses of a
+  atomic_at : bool array;
+      (* typing fact, by rank: the vertex provably produces only atomic
+         values. Atomic values have no identity, order or structure an
+         XRPC message copy could damage, so conditions i–iv need not fire
+         on uses of a proven-atomic result, nor on remote uses of a
          proven-atomic shipped parameter. The default (no proof) keeps
          every condition fully conservative. *)
+  on_use : Bits.t;
+      (* vertices that violate i, ii or iv by using a shipped value:
+         reverse/horizontal steps and fn:root/id/idref unless by
+         projection, and guarded node comparisons and set operations *)
+  mixed_steps : Bits.t; (* iii: guarded axis steps *)
+  unknown_calls : Bits.t; (* calls of functions that are not builtins *)
+  updates : (int * int) list; (* (update vertex, its target), by rank *)
+  reach_mixer : Bits.t; (* vertices that ⤳ a dangerous producer *)
+  mutable points : (Bits.t * Ast.expr list) option; (* I(G), once *)
 }
 
 let make_ctx ?(atomic = fun _ -> false) strategy g =
-  { g; strategy; all = Dg.vertices g; outgoing = Hashtbl.create 32; atomic }
+  let n = Dg.count g in
+  (* hasMatchingDoc guard of the consuming vertex under the enhanced
+     passing semantics; pass-by-value forbids unconditionally *)
+  let guarded =
+    match strategy with
+    | Strategy.By_value | Strategy.Data_shipping -> fun _ -> true
+    | Strategy.By_fragment | Strategy.By_projection -> Bits.mem (Dg.matching g)
+  in
+  let lifted = strategy = Strategy.By_projection in
+  let on_use = Bits.create n
+  and mixed_steps = Bits.create n
+  and unknown_calls = Bits.create n
+  and reach_mixer = Bits.create n in
+  let updates = ref [] in
+  for r = n - 1 downto 0 do
+    let e = Dg.at g r in
+    (match e.Ast.desc with
+    | Ast.Step (_, ax, _) ->
+      if guarded r then Bits.add mixed_steps r;
+      if (not lifted) && Ast.classify_axis ax <> Ast.Fwd then Bits.add on_use r
+    | Ast.Node_cmp _ | Ast.Node_set _ -> if guarded r then Bits.add on_use r
+    | Ast.Fun_call (name, _) ->
+      if (not lifted) && (name = "root" || name = "id" || name = "idref") then
+        Bits.add on_use r;
+      if not (Hashtbl.mem known name) then Bits.add unknown_calls r
+    | _ -> ());
+    (match Ast.update_target e with
+    | Some tgt -> updates := (r, Dg.rank g tgt.Ast.id) :: !updates
+    | None -> ());
+    if bad_mixer strategy e then Bits.union_into ~dst:reach_mixer (Dg.users g r)
+  done;
+  {
+    g;
+    atomic_at = Array.init n (fun r -> atomic (Dg.at g r).Ast.id);
+    on_use;
+    mixed_steps;
+    unknown_calls;
+    updates = !updates;
+    reach_mixer;
+    points = None;
+  }
 
-(* Outgoing varrefs of rs, minus parameters whose binder value is proven
-   atomic: shipping those by value is always exact, so the remote body's
-   uses of them cannot violate any condition. *)
-let outgoing ctx rs =
-  match Hashtbl.find_opt ctx.outgoing rs with
-  | Some o -> o
-  | None ->
-    let o =
-      List.filter
-        (fun (_, binder) -> not (ctx.atomic binder))
-        (Dg.outgoing_varrefs ctx.g rs)
-    in
-    Hashtbl.replace ctx.outgoing rs o;
-    o
+(* The parameters of the subtree [r, hi): the first varref at or after
+   rank x inside it whose binder value lies outside, minus those whose
+   binder value is proven atomic (shipping those by value is always
+   exact, so the remote body's uses of them cannot violate any
+   condition); hi when there is none. *)
+let rec next_param ctx r hi x =
+  if x >= hi then hi
+  else
+    let b = Dg.bound ctx.g x in
+    if b >= 0 && (b < r || b >= hi) && not ctx.atomic_at.(b) then x
+    else next_param ctx r hi (x + 1)
+
+(* does the vertex of rank n use a parameter of [r, hi)? *)
+let rec uses_param ctx r hi n x =
+  let vr = next_param ctx r hi x in
+  vr < hi && (Bits.mem (Dg.users ctx.g vr) n || uses_param ctx r hi n (vr + 1))
 
 let use_result ctx n rs =
-  (not (ctx.atomic rs))
+  (not ctx.atomic_at.(Dg.rank ctx.g rs))
   && (not (Dg.parse_reaches ctx.g rs n.Ast.id))
   && Dg.depends ctx.g n.Ast.id rs
 
 let use_param ctx n rs =
   Dg.parse_reaches ctx.g rs n.Ast.id
-  && List.exists (fun (vr, _) -> Dg.depends ctx.g n.Ast.id vr) (outgoing ctx rs)
-
-let uses ctx n rs = use_result ctx n rs || use_param ctx n rs
-
-(* hasMatchingDoc guard applied to the consuming vertex under the enhanced
-   passing semantics; pass-by-value forbids unconditionally. *)
-let guard ctx n =
-  match ctx.strategy with
-  | Strategy.By_value | Strategy.Data_shipping -> true
-  | Strategy.By_fragment | Strategy.By_projection ->
-    Dg.has_matching_doc ctx.g n.Ast.id
-
-let violates_i ctx rs n =
-  ctx.strategy <> Strategy.By_projection
   &&
-  match n.Ast.desc with
-  | Ast.Step (_, ax, _) -> (
-    match Ast.classify_axis ax with
-    | Ast.Rev | Ast.Hor -> uses ctx n rs
-    | Ast.Fwd -> false)
-  | _ -> false
-
-let violates_ii ctx rs n =
-  match n.Ast.desc with
-  | Ast.Node_cmp _ | Ast.Node_set _ -> uses ctx n rs && guard ctx n
-  | _ -> false
-
-let violates_iii ctx rs n =
-  match n.Ast.desc with
-  | Ast.Step (_, _, _) ->
-    let result_side () =
-      use_result ctx n rs
-      && List.exists
-           (fun m -> bad_mixer ctx.strategy m && Dg.depends ctx.g rs m.Ast.id)
-           ctx.all
-    in
-    let param_side () =
-      Dg.parse_reaches ctx.g rs n.Ast.id
-      && List.exists
-           (fun (vr, binder) ->
-             Dg.depends ctx.g n.Ast.id vr
-             && List.exists
-                  (fun m ->
-                    bad_mixer ctx.strategy m && Dg.depends ctx.g binder m.Ast.id)
-                  ctx.all)
-           (outgoing ctx rs)
-    in
-    (result_side () || param_side ()) && guard ctx n
-  | _ -> false
-
-let violates_iv ctx rs n =
-  ctx.strategy <> Strategy.By_projection
-  &&
-  match n.Ast.desc with
-  | Ast.Fun_call (("root" | "id" | "idref"), _) -> uses ctx n rs
-  | _ -> false
+  let r = Dg.rank ctx.g rs in
+  uses_param ctx r (Dg.stop ctx.g r) (Dg.rank ctx.g n.Ast.id) r
 
 (* XQUF safety (Section IX future work): an update must execute where its
    target lives. A candidate rs is invalid when (a) some update's target
@@ -150,73 +161,125 @@ let violates_iv ctx rs n =
    or (b) an update inside rs targets data arriving through a parameter
    (again a copy). Pushing an update *with* its genuine target is handled
    by the placement pass in Decompose. *)
+let update_violates ctx r hi n tgt =
+  if r <= n && n < hi then uses_param ctx r hi tgt r
+  else
+    (* an atomic rs result cannot be (or contain) the target node
+       itself — at worst it feeds a predicate selecting the target *)
+    (not ctx.atomic_at.(r)) && Bits.mem (Dg.users ctx.g r) tgt
+
 let violates_update ctx rs n =
   match Ast.update_target n with
   | None -> false
   | Some tgt ->
-    (if Dg.parse_reaches ctx.g rs n.Ast.id then
-       List.exists
-         (fun (vr, _) -> Dg.depends ctx.g tgt.Ast.id vr)
-         (outgoing ctx rs)
-     else
-       (* an atomic rs result cannot be (or contain) the target node
-          itself — at worst it feeds a predicate selecting the target *)
-       (not (ctx.atomic rs)) && Dg.depends ctx.g tgt.Ast.id rs)
+    let r = Dg.rank ctx.g rs in
+    update_violates ctx r (Dg.stop ctx.g r) (Dg.rank ctx.g n.Ast.id)
+      (Dg.rank ctx.g tgt.Ast.id)
 
-(* Unknown user functions (recursive, not inlined): conservatively treat
-   any use relationship as disqualifying under every strategy. *)
-let violates_unknown_call ctx rs n =
-  match n.Ast.desc with
-  | Ast.Fun_call (name, _) when not (List.mem name known_builtins) ->
-    uses ctx n rs || Dg.parse_reaches ctx.g rs n.Ast.id
-  | _ -> false
+(* a remote use of some parameter of [r, hi) violates i, ii, iii or iv *)
+let rec param_violates ctx r hi x =
+  let vr = next_param ctx r hi x in
+  vr < hi
+  && (let param = Dg.users ctx.g vr in
+      Bits.meets_within ctx.on_use param r hi
+      || Bits.mem ctx.reach_mixer (Dg.bound ctx.g vr)
+         && Bits.meets_within ctx.mixed_steps param r hi
+      || param_violates ctx r hi (vr + 1))
 
-let valid_d_point ctx rs =
-  not
-    (List.exists
-       (fun n ->
-         violates_i ctx rs n || violates_ii ctx rs n || violates_iii ctx rs n
-         || violates_iv ctx rs n
-         || violates_unknown_call ctx rs n
-         || violates_update ctx rs n)
-       ctx.all)
+let rec update_on ctx r hi = function
+  | [] -> false
+  | (n, tgt) :: rest -> update_violates ctx r hi n tgt || update_on ctx r hi rest
 
-(* I(G): all valid decomposition points. *)
-let d_points ctx =
-  List.filter (fun v -> valid_d_point ctx v.Ast.id) ctx.all
+(* rs (of rank r) is valid iff no candidate vertex uses a shipped value
+   the way its condition forbids. Unknown user functions (recursive, not
+   inlined) disqualify any rs they use or sit inside. *)
+let valid_rank ctx r =
+  let hi = Dg.stop ctx.g r in
+  let result = Dg.users ctx.g r in
+  (not
+     ((not ctx.atomic_at.(r))
+     && (Bits.meets_outside ctx.on_use result r hi
+        || Bits.meets_outside ctx.unknown_calls result r hi
+        || Bits.mem ctx.reach_mixer r
+           && Bits.meets_outside ctx.mixed_steps result r hi)))
+  && (not (Bits.any_within ctx.unknown_calls r hi))
+  && (not (param_violates ctx r hi r))
+  && not (update_on ctx r hi ctx.updates)
+
+let valid_d_point ctx rs = valid_rank ctx (Dg.rank ctx.g rs)
+
+(* I(G): all valid decomposition points, in the order of Dg.vertices;
+   computed once per context. *)
+let points ctx =
+  match ctx.points with
+  | Some p -> p
+  | None ->
+    let valid = Bits.create (Dg.count ctx.g) in
+    let dps =
+      List.filter_map
+        (fun r ->
+          if valid_rank ctx r then begin
+            Bits.add valid r;
+            Some (Dg.at ctx.g r)
+          end
+          else None)
+        (Dg.vertex_ranks ctx.g)
+    in
+    ctx.points <- Some (valid, dps);
+    (valid, dps)
+
+let d_points ctx = snd (points ctx)
 
 (* Interesting decomposition points I'(G), Section IV:
    (a) highest vertex of its URI-dependency equivalence class,
    (b) depends on at least one document,
-   (c) applies at least one axis step, and references an xrpc:// URI. *)
-let site_set ctx v =
-  List.sort_uniq compare (List.map (fun d -> d.Dg.site) (Dg.uri_deps ctx.g v))
-
+   (c) applies at least one axis step, and references an xrpc:// URI.
+   Each is a count over the vertex's rank interval, from prefix sums of
+   D sites, document sites, xrpc:// sites and steps. *)
 let interesting_points ctx =
-  let dps = d_points ctx in
+  let g = ctx.g in
+  let n = Dg.count g in
+  let valid, dps = points ctx in
+  let sites = Array.make (n + 1) 0
+  and docs = Array.make (n + 1) 0
+  and xrpc = Array.make (n + 1) 0
+  and steps = Array.make (n + 1) 0 in
+  for r = 0 to n - 1 do
+    let e = Dg.at g r in
+    let site, doc, remote =
+      match Dg.direct_uri_deps_of_vertex e with
+      | [] -> (0, 0, 0)
+      | d :: _ -> (
+        match d.Dg.uri with
+        | Dg.Uri u -> (1, 1, if Dg.split_xrpc_uri u <> None then 1 else 0)
+        | Dg.Wildcard -> (1, 1, 0)
+        | Dg.Constr -> (1, 0, 0))
+    in
+    let step = match e.Ast.desc with Ast.Step _ -> 1 | _ -> 0 in
+    sites.(r + 1) <- sites.(r) + site;
+    docs.(r + 1) <- docs.(r) + doc;
+    xrpc.(r + 1) <- xrpc.(r) + remote;
+    steps.(r + 1) <- steps.(r) + step
+  done;
+  let within a r = a.(Dg.stop g r) - a.(r) in
   List.filter
     (fun v ->
-      let deps = Dg.uri_deps ctx.g v.Ast.id in
-      let sites = site_set ctx v.Ast.id in
+      let r = Dg.rank g v.Ast.id in
+      (* an ancestor's D contains the vertex's, so equal classes have
+         equal counts, and counts only grow going up *)
+      let own = within sites r in
+      let rec highest u =
+        u < 0
+        || within sites u <> own
+        || ((not (Bits.mem valid u)) && highest (Dg.up g u))
+      in
       (* (b) at least one document dependency *)
-      List.exists
-        (fun d -> match d.Dg.uri with Dg.Uri _ | Dg.Wildcard -> true | Dg.Constr -> false)
-        deps
+      within docs r > 0
       (* (a) highest *valid* vertex of its URI-dependency equivalence
          class (the paper's class root modulo validity; cf. the footnote
          replacing Var roots by their value expressions) *)
-      && not
-           (List.exists
-              (fun u ->
-                u.Ast.id <> v.Ast.id
-                && Dg.parse_reaches ctx.g u.Ast.id v.Ast.id
-                && site_set ctx u.Ast.id = sites)
-              dps)
+      && highest (Dg.up g r)
       (* (c) applies at least one axis step, on xrpc-addressed data *)
-      && List.exists
-           (fun n ->
-             (match n.Ast.desc with Ast.Step _ -> true | _ -> false)
-             && Dg.parse_reaches ctx.g v.Ast.id n.Ast.id)
-           ctx.all
-      && Dg.xrpc_hosts deps <> [])
+      && within steps r > 0
+      && within xrpc r > 0)
     dps

@@ -20,7 +20,13 @@
     result, or a remote use of a proven-atomic shipped parameter, cannot
     violate any condition — atomic values have no node identity, order
     or structure to lose in an XRPC copy (pass [?atomic] to
-    {!make_ctx}). *)
+    {!make_ctx}).
+
+    {!make_ctx} derives, once per graph, the vertices each condition can
+    fire on (their hasMatchingDoc guard applied) and the vertices that
+    reach a dangerous producer; each verdict is then a test of those sets
+    against the d-graph's reverse-reachability rows, over the rank
+    interval of the candidate's subgraph. *)
 
 val known_builtins : string list
 val bad_mixer : Strategy.t -> Xd_lang.Ast.expr -> bool
@@ -33,13 +39,17 @@ val make_ctx :
     values (see [Xd_types.Infer.atomic]); defaults to a constant [false],
     keeping every condition fully conservative. *)
 
+(** The relations and the verdict below take vertices of the context's
+    graph; an id not in it raises [Invalid_argument]. *)
+
 val use_result : ctx -> Xd_lang.Ast.expr -> int -> bool
 val use_param : ctx -> Xd_lang.Ast.expr -> int -> bool
 val violates_update : ctx -> int -> Xd_lang.Ast.expr -> bool
 val valid_d_point : ctx -> int -> bool
 
 val d_points : ctx -> Xd_lang.Ast.expr list
-(** I(G): all valid decomposition points. *)
+(** I(G): all valid decomposition points, in the order of
+    {!Xd_dgraph.Dgraph.vertices}. Computed once per context. *)
 
 val interesting_points : ctx -> Xd_lang.Ast.expr list
 (** I'(G): highest valid vertex of each URI-dependency equivalence class

@@ -44,7 +44,15 @@ exception Update_placement of string
    closed, so failure means the update is entangled with multiple hosts —
    which the paper's restriction rejects. *)
 let place_updates body =
-  let rec pass body =
+  (* is some update vertex outside every execute-at? If not, there is
+     nothing to place, and no graph to build *)
+  let rec has_unplaced (e : Ast.expr) =
+    match e.Ast.desc with
+    | Ast.Execute_at _ -> false
+    | d -> Ast.is_updating_desc d || List.exists has_unplaced (Ast.children e)
+  in
+  let rec pass body = if has_unplaced body then place body else body
+  and place body =
     let g = Dg.build body in
     (* update vertices not under an execute-at *)
     let unplaced =

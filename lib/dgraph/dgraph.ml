@@ -9,6 +9,19 @@
      depends x y        —  x ⤳ y   (reachable via parse and varref edges;
                                      reflexive)
 
+   [build] numbers the vertices 0..n-1 in pre-order, so the parse subtree
+   of the vertex at rank r is exactly the ranks [r, stop r): v ⤳p u is an
+   interval test, with no walk. A varref edge always points at the value
+   expression of a binder, an earlier sibling subtree of the varref's
+   enclosing binding child; its subtree ends before the varref's rank. So
+   the post-order of the parse tree puts every vertex after everything it
+   depends on, and one pass over it in reverse gives every vertex's
+   reverse reachability — the ranks x with x ⤳ it — as a bit row
+   ([users]): the parent's row, the vertex itself and the rows of the
+   varrefs bound to it. [depends x y] is then one bit test, and
+   hasMatchingDoc of every vertex is one set (the vertices reaching two
+   matching fn:doc() sites), computed the first time a guard asks.
+
    The URI dependency set D(v) of Section IV tags every fn:doc() call site
    reachable from v via parse edges with its vertex id; computed URIs
    become wildcards; element constructors get an artificial per-site URI.
@@ -31,114 +44,205 @@ let uri_kind_to_string = function
 let pp_uri_dep fmt d =
   Fmt.pf fmt "%s::v%d" (uri_kind_to_string d.uri) d.site
 
+let direct_uri_deps_of_vertex (e : Ast.expr) =
+  match e.desc with
+  | Ast.Fun_call (("doc" | "collection"), args) -> (
+    match args with
+    | [ { desc = Ast.Literal (Ast.A_string u); _ } ] ->
+      [ { uri = Uri u; site = e.Ast.id } ]
+    | _ -> [ { uri = Wildcard; site = e.Ast.id } ])
+  | Ast.Elem_constr _ | Ast.Doc_constr _ | Ast.Text_constr _
+  | Ast.Attr_constr _ ->
+    [ { uri = Constr; site = e.Ast.id } ]
+  | _ -> []
+
 type t = {
-  root : Ast.expr;
-  by_id : (int, Ast.expr) Hashtbl.t;
-  parent : (int, int) Hashtbl.t; (* AST child -> parent *)
-  binder : (int, int) Hashtbl.t; (* varref id -> binder value-expr id *)
-  uses : (int, int list) Hashtbl.t; (* binder value-expr id -> varref ids *)
-  mutable reach_memo : (int, Iset.t) Hashtbl.t;
-  mutable deps_memo : (int, uri_dep list) Hashtbl.t;
+  rank_of : (int, int) Hashtbl.t; (* vertex id -> pre-order rank *)
+  node : Ast.expr array; (* rank -> vertex *)
+  stop : int array; (* rank -> 1 + the rank of its last descendant *)
+  up : int array; (* rank -> parent rank; -1 at the root *)
+  bound : int array; (* varref rank -> its binder value's rank; else -1 *)
+  uses : int list array; (* binder value rank -> its varrefs, last first *)
+  sites : (int * uri_dep) list; (* every D site with its rank, by rank *)
+  users : Bits.t array Lazy.t; (* rank -> the ranks x with x ⤳ it *)
+  matching : Bits.t Lazy.t; (* the ranks where hasMatchingDoc holds *)
 }
 
-(* Scope environment: variable name -> value-expression id of its binder. *)
-let build (root : Ast.expr) =
-  let by_id = Hashtbl.create 256 in
-  let parent = Hashtbl.create 256 in
-  let binder = Hashtbl.create 64 in
-  let uses = Hashtbl.create 64 in
-  let add_use b r =
-    Hashtbl.replace uses b (r :: Option.value ~default:[] (Hashtbl.find_opt uses b))
+(* Reverse reachability in one pass over the reversed post-order [post],
+   where a vertex's parent and the varrefs bound to it come first. *)
+let reverse_reach ~up ~uses ~post =
+  let n = Array.length post in
+  let rows = Array.make n (Bits.create 0) in
+  for i = n - 1 downto 0 do
+    let y = post.(i) in
+    let row = if up.(y) < 0 then Bits.create n else Bits.copy rows.(up.(y)) in
+    Bits.add row y;
+    List.iter (fun vr -> Bits.union_into ~dst:row rows.(vr)) uses.(y);
+    rows.(y) <- row
+  done;
+  rows
+
+(* The vertices reaching two distinct fn:doc() sites whose URIs match: two
+   of one literal URI's sites and the wildcards, or two wildcards. *)
+let matching_set ~n ~sites (users : Bits.t array) =
+  let m = Bits.create n in
+  let at_least_two ranks =
+    let one = Bits.create n in
+    List.iter
+      (fun r ->
+        Bits.union_inter_into ~dst:m one users.(r);
+        Bits.union_into ~dst:one users.(r))
+      ranks
   in
-  let rec go scope (e : Ast.expr) =
-    Hashtbl.replace by_id e.Ast.id e;
+  let ranks_of kind =
+    List.filter_map (fun (r, d) -> if d.uri = kind then Some r else None) sites
+  in
+  let wild = ranks_of Wildcard in
+  at_least_two wild;
+  List.filter_map
+    (fun (_, d) -> match d.uri with Uri u -> Some u | _ -> None)
+    sites
+  |> List.sort_uniq String.compare
+  |> List.iter (fun u -> at_least_two (ranks_of (Uri u) @ wild));
+  m
+
+let build (root : Ast.expr) =
+  let n = Ast.size root in
+  let rank_of = Hashtbl.create 256 in
+  let node = Array.make n root in
+  let stop = Array.make n 0 in
+  let up = Array.make n (-1) in
+  let bound = Array.make n (-1) in
+  let uses = Array.make n [] in
+  let post = Array.make n 0 in
+  let next = ref 0 and finished = ref 0 in
+  let sites = ref [] in
+  (* [scope]: variable name -> rank of its binder's value expression *)
+  let rec go scope parent (e : Ast.expr) =
+    let r = !next in
+    incr next;
+    Hashtbl.replace rank_of e.Ast.id r;
+    node.(r) <- e;
+    up.(r) <- parent;
+    List.iter (fun d -> sites := (r, d) :: !sites) (direct_uri_deps_of_vertex e);
     (match e.desc with
     | Ast.Var_ref v -> (
       match List.assoc_opt v scope with
-      | Some bid ->
-        Hashtbl.replace binder e.Ast.id bid;
-        add_use bid e.Ast.id
+      | Some b ->
+        bound.(r) <- b;
+        uses.(b) <- r :: uses.(b)
       | None -> () (* free variable of the whole query/function body *))
     | _ -> ());
-    let cs = Ast.children e in
-    let bnd = Ast.bound_in_children e in
-    (* a variable bound by this node maps to the vertex of its value expr *)
+    (* a variable bound by this node maps to the vertex of its value expr,
+       an earlier child, so already ranked *)
     let value_vertex_for v =
+      let rank_of_expr (x : Ast.expr) = Hashtbl.find_opt rank_of x.Ast.id in
       match e.desc with
-      | Ast.For (v', e1, _) when v' = v -> Some e1.Ast.id
-      | Ast.Let (v', e1, _) when v' = v -> Some e1.Ast.id
-      | Ast.Order_by (v', e1, _, _) when v' = v -> Some e1.Ast.id
-      | Ast.Typeswitch (e0, _, _, _) -> Some e0.Ast.id
+      | Ast.For (v', e1, _) when v' = v -> rank_of_expr e1
+      | Ast.Let (v', e1, _) when v' = v -> rank_of_expr e1
+      | Ast.Order_by (v', e1, _, _) when v' = v -> rank_of_expr e1
+      | Ast.Typeswitch (e0, _, _, _) -> rank_of_expr e0
       | Ast.Execute_at x -> (
         match List.assoc_opt v x.params with
-        | Some pe -> Some pe.Ast.id
+        | Some pe -> rank_of_expr pe
         | None -> None)
       | _ -> None
     in
     List.iter2
       (fun child extra ->
-        Hashtbl.replace parent child.Ast.id e.Ast.id;
         let scope' =
           List.fold_left
             (fun sc v ->
               match value_vertex_for v with
-              | Some vid -> (v, vid) :: sc
+              | Some vr -> (v, vr) :: sc
               | None -> sc)
             scope extra
         in
-        go scope' child)
-      cs bnd
+        go scope' r child)
+      (Ast.children e) (Ast.bound_in_children e);
+    stop.(r) <- !next;
+    post.(!finished) <- r;
+    incr finished
   in
-  go [] root;
+  go [] (-1) root;
+  let sites = List.rev !sites in
+  let users = lazy (reverse_reach ~up ~uses ~post) in
   {
-    root;
-    by_id;
-    parent;
-    binder;
+    rank_of;
+    node;
+    stop;
+    up;
+    bound;
     uses;
-    reach_memo = Hashtbl.create 64;
-    deps_memo = Hashtbl.create 64;
+    sites;
+    users;
+    matching = lazy (matching_set ~n ~sites (Lazy.force users));
   }
 
-let vertex t id =
-  match Hashtbl.find_opt t.by_id id with
-  | Some e -> e
+(* ---- pre-order ranks ---------------------------------------------------- *)
+
+let count t = Array.length t.node
+let rank_opt t id = Hashtbl.find_opt t.rank_of id
+
+let rank t id =
+  match rank_opt t id with
+  | Some r -> r
   | None -> invalid_arg (Printf.sprintf "Dgraph.vertex: unknown id %d" id)
 
-let vertices t = Hashtbl.fold (fun _ e acc -> e :: acc) t.by_id []
+let at t r = t.node.(r)
+let stop t r = t.stop.(r)
+let up t r = t.up.(r)
+let users t r = (Lazy.force t.users).(r)
+let matching t = Lazy.force t.matching
 
-let parent_of t id = Hashtbl.find_opt t.parent id
+let bound t r = t.bound.(r)
 
-let binder_of t id = Hashtbl.find_opt t.binder id
+(* ---- vertices and edges --------------------------------------------------- *)
+
+let vertex t id = t.node.(rank t id)
+
+(* In the order of the id table, which [build] fills in pre-order. *)
+let vertex_ranks t = Hashtbl.fold (fun _ r acc -> r :: acc) t.rank_of []
+let vertices t = Hashtbl.fold (fun _ r acc -> t.node.(r) :: acc) t.rank_of []
+
+let id_at t r = t.node.(r).Ast.id
+
+let parent_of t id =
+  match rank_opt t id with
+  | Some r when t.up.(r) >= 0 -> Some (id_at t t.up.(r))
+  | _ -> None
+
+let binder_of t id =
+  match rank_opt t id with
+  | Some r when t.bound.(r) >= 0 -> Some (id_at t t.bound.(r))
+  | _ -> None
 
 let varrefs_of t binder_value_id =
-  Option.value ~default:[] (Hashtbl.find_opt t.uses binder_value_id)
+  match rank_opt t binder_value_id with
+  | Some r -> List.map (id_at t) t.uses.(r)
+  | None -> []
 
-(* v ⤳p u : u is in the parse subtree of v (reflexive). Walk up from u. *)
+(* v ⤳p u : u is in the parse subtree of v (reflexive). *)
 let parse_reaches t v u =
-  let rec up x = x = v || (match parent_of t x with Some p -> up p | None -> false) in
-  up u
+  v = u
+  ||
+  match (rank_opt t v, rank_opt t u) with
+  | Some rv, Some ru -> rv <= ru && ru < t.stop.(rv)
+  | _ -> false
 
-(* Full dependency reachability x ⤳ y over parse + varref edges,
-   memoized per source vertex. *)
+(* Full dependency reachability x ⤳ y over parse + varref edges. *)
 let reachable_set t x =
-  match Hashtbl.find_opt t.reach_memo x with
-  | Some s -> s
-  | None ->
-    let visited = ref Iset.empty in
-    let rec dfs id =
-      if not (Iset.mem id !visited) then begin
-        visited := Iset.add id !visited;
-        let e = vertex t id in
-        List.iter (fun c -> dfs c.Ast.id) (Ast.children e);
-        match binder_of t id with Some b -> dfs b | None -> ()
-      end
-    in
-    dfs x;
-    Hashtbl.replace t.reach_memo x !visited;
-    !visited
+  let rx = rank t x in
+  let rows = Lazy.force t.users in
+  let s = ref Iset.empty in
+  Array.iteri
+    (fun y row -> if Bits.mem row rx then s := Iset.add (id_at t y) !s)
+    rows;
+  !s
 
-let depends t x y = Iset.mem y (reachable_set t x)
+let depends t x y =
+  let rx = rank t x in
+  match rank_opt t y with Some ry -> Bits.mem (users t ry) rx | None -> false
 
 (* A witness path from x to y over parse-child and varref edges: the chain
    of vertices realizing x ⤳ y, found by BFS (so it is shortest). Used by
@@ -147,7 +251,7 @@ let depends t x y = Iset.mem y (reachable_set t x)
    vertex inside the subtree of an execute-at), the y ⤳ x chain is
    returned reversed, so the result always starts at x and ends at y. *)
 let witness_directed t x y =
-  if not (Hashtbl.mem t.by_id x) || not (Hashtbl.mem t.by_id y) then None
+  if rank_opt t x = None || rank_opt t y = None then None
   else begin
     let pred = Hashtbl.create 32 in
     let queue = Queue.create () in
@@ -181,49 +285,39 @@ let witness t x y =
 
 let in_subgraph t rs n = parse_reaches t rs n
 
-(* Varref edges leaving the subgraph of rs: references inside whose binder
-   value expression lies outside. These become the XRPC parameters. *)
+(* Varref edges leaving the subgraph of rs, in pre-order of the varrefs:
+   references inside whose binder value lies outside. These become the
+   XRPC parameters. *)
 let outgoing_varrefs t rs =
-  Hashtbl.fold
-    (fun vr b acc ->
-      if parse_reaches t rs vr && not (parse_reaches t rs b) then
-        (vr, b) :: acc
-      else acc)
-    t.binder []
+  match rank_opt t rs with
+  | None -> []
+  | Some r ->
+    let hi = t.stop.(r) in
+    let acc = ref [] in
+    for x = hi - 1 downto r do
+      let b = t.bound.(x) in
+      if b >= 0 && (b < r || b >= hi) then acc := (id_at t x, id_at t b) :: !acc
+    done;
+    !acc
 
 (* ---- URI dependency sets ---------------------------------------------- *)
 
-let direct_uri_deps_of_vertex (e : Ast.expr) =
-  match e.desc with
-  | Ast.Fun_call (("doc" | "collection"), args) -> (
-    match args with
-    | [ { desc = Ast.Literal (Ast.A_string u); _ } ] ->
-      [ { uri = Uri u; site = e.Ast.id } ]
-    | _ -> [ { uri = Wildcard; site = e.Ast.id } ])
-  | Ast.Elem_constr _ | Ast.Doc_constr _ | Ast.Text_constr _
-  | Ast.Attr_constr _ ->
-    [ { uri = Constr; site = e.Ast.id } ]
-  | _ -> []
-
-(* D(v): doc call sites reachable via parse edges only. *)
+(* D(v): doc call sites reachable via parse edges only, last site first. *)
 let uri_deps t v =
-  match Hashtbl.find_opt t.deps_memo v with
-  | Some d -> d
-  | None ->
-    let e = vertex t v in
-    let acc = ref [] in
-    Ast.iter (fun x -> acc := direct_uri_deps_of_vertex x @ !acc) e;
-    let d = !acc in
-    Hashtbl.replace t.deps_memo v d;
-    d
+  let r = rank t v in
+  let hi = t.stop.(r) in
+  List.fold_left
+    (fun acc (s, d) -> if r <= s && s < hi then d :: acc else acc)
+    [] t.sites
 
 (* Extended D over full dependency reachability (footnote 3, conservative):
-   every doc site any vertex reachable from v depends on. *)
+   every doc site any vertex reachable from v depends on, highest site id
+   first. *)
 let extended_uri_deps t v =
-  let s = reachable_set t v in
-  Iset.fold
-    (fun id acc -> direct_uri_deps_of_vertex (vertex t id) @ acc)
-    s []
+  let r = rank t v in
+  List.filter (fun (s, _) -> Bits.mem (users t s) r) t.sites
+  |> List.map snd
+  |> List.sort (fun a b -> compare b.site a.site)
 
 let uris_match a b =
   match (a, b) with
@@ -243,7 +337,7 @@ let has_matching_doc_in deps =
   in
   go deps
 
-let has_matching_doc t v = has_matching_doc_in (extended_uri_deps t v)
+let has_matching_doc t v = Bits.mem (matching t) (rank t v)
 
 (* Hosts referenced by xrpc:// URIs in D(v). *)
 let xrpc_prefix = "xrpc://"

@@ -449,6 +449,20 @@ and eval_desc (env : Env.t) (e : Ast.expr) : Value.t =
   | Ast.Insert_node (src, pos, tgt) ->
     let content = Update.content_of_value (eval env src) in
     let target = update_target env "insert" tgt in
+    (match pos with
+    | Ast.Into ->
+      target_kind "XUTY0005" "insert into"
+        [ X.Node.Element; X.Node.Document ]
+        target
+    | Ast.Before | Ast.After ->
+      (* a document node is both parentless and of the wrong kind; either
+         error may be raised, and the parent check goes first *)
+      if X.Node.parent target = None then
+        Env.dynamic_error
+          "err:XUDY0029: insert before/after: the target has no parent";
+      target_kind "XUTY0006" "insert before/after"
+        [ X.Node.Element; X.Node.Text; X.Node.Comment; X.Node.Pi ]
+        target);
     add_pending env (Pul.P_insert (target, pos, content))
   | Ast.Delete_node tgt ->
     (* delete accepts a whole sequence of targets *)
@@ -457,6 +471,9 @@ and eval_desc (env : Env.t) (e : Ast.expr) : Value.t =
     []
   | Ast.Replace_value (tgt, v) ->
     let target = update_target env "replace value of" tgt in
+    if X.Node.kind target = X.Node.Document then
+      Env.dynamic_error
+        "err:XUTY0008: replace value of: the target is of kind document-node";
     let s =
       String.concat " "
         (List.map Value.atom_to_string (Value.atomize (eval env v)))
@@ -464,6 +481,9 @@ and eval_desc (env : Env.t) (e : Ast.expr) : Value.t =
     add_pending env (Pul.P_replace_value (target, s))
   | Ast.Rename_node (tgt, n) ->
     let target = update_target env "rename" tgt in
+    target_kind "XUTY0012" "rename"
+      [ X.Node.Element; X.Node.Attribute; X.Node.Pi ]
+      target;
     add_pending env (Pul.P_rename (target, Value.string_value (eval env n)))
 
 and update_target env what tgt =
@@ -471,6 +491,14 @@ and update_target env what tgt =
   | [ Value.N n ] -> n
   | _ ->
     Env.dynamic_error "%s: target must evaluate to exactly one node" what
+
+(* XQUF 1.0's type errors for a target of the wrong kind, raised while
+   the pending update list is built *)
+and target_kind code what kinds target =
+  let k = X.Node.kind target in
+  if not (List.mem k kinds) then
+    Env.dynamic_error "err:%s: %s: the target is of kind %s" code what
+      (X.Node.kind_to_string k)
 
 and add_pending env p =
   match env.Env.pul with

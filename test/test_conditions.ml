@@ -184,6 +184,96 @@ let test_update_condition () =
   check_bool "update target pins its producer"
     (not (C.valid_d_point ctx a_path.Ast.id))
 
+(* ---- the pairwise oracle ----------------------------------------------- *)
+
+module O = Oracle_conditions
+
+(* Gen_queries' queries × {by-value, by-fragment, by-projection} × typing
+   on/off. Half of the queries get their node-valued result wrapped in an
+   update (each of the four kinds), fn:root, fn:id or a call of a function
+   that is not a builtin: vertices the generator never emits itself, and
+   the ones the update and condition-iv candidate sets hold. *)
+let arb_case =
+  let open QCheck.Gen in
+  let wrap k (e : Ast.expr) =
+    match k with
+    | 0 -> Ast.mk (Ast.Delete_node e)
+    | 1 -> Ast.mk (Ast.Replace_value (e, Ast.str "v"))
+    | 2 -> Ast.mk (Ast.Rename_node (e, Ast.str "x"))
+    | 3 ->
+      Ast.mk
+        (Ast.Insert_node
+           ( Ast.mk (Ast.Elem_constr (Ast.Fixed_name "y", Ast.empty_seq ())),
+             Ast.Into,
+             e ))
+    | 4 -> Ast.fun_call "root" [ e ]
+    | 5 -> Ast.fun_call "id" [ Ast.str "s1"; e ]
+    | 6 -> Ast.fun_call "unknown-f" [ e ]
+    | _ -> e
+  in
+  let wrap_last k (q : Ast.query) =
+    match q.Ast.body.Ast.desc with
+    | Ast.Seq es -> (
+      match List.rev es with
+      | last :: rest ->
+        { q with Ast.body = Ast.mk (Ast.Seq (List.rev (wrap k last :: rest))) }
+      | [] -> q)
+    | _ -> q
+  in
+  let gen =
+    map3
+      (fun q k (s, typing) -> (wrap_last k q, s, typing))
+      Gen_queries.gen_query (int_bound 13)
+      (pair (oneofl [ S.By_value; S.By_fragment; S.By_projection ]) bool)
+  in
+  QCheck.make
+    ~print:(fun (q, s, typing) ->
+      Printf.sprintf "%s, typing %b: %s" (S.to_string s) typing
+        (Xd_lang.Pp.query_to_string q))
+    gen
+
+(* A plan as text: everything the decomposer decides, ids aside.
+   Normalisation allocates fresh ids on every run, and the order of the
+   pushed points follows the id table, so their hosts are compared as a
+   set. *)
+let plan_text (p : Xd_core.Decompose.plan) =
+  Printf.sprintf "%s\npushed to %s; %d d-points, %d i-points"
+    (Xd_lang.Pp.query_to_string p.query)
+    (String.concat "," (List.sort compare (List.map snd p.inserted)))
+    (List.length p.d_points) (List.length p.i_points)
+
+let outcome f =
+  match f () with
+  | p -> plan_text p
+  | exception Xd_core.Decompose.Update_placement m -> "update placement: " ^ m
+
+let prop_oracle =
+  qtest ~count:1000
+    "d-points, i-points, parse reach and plans = the pairwise oracle" arb_case
+    (fun (q0, s, typing) ->
+      let q =
+        Xd_core.Constfold.fold_query
+          (Xd_core.Normalize.normalize_query (Xd_core.Inline.inline_query q0))
+      in
+      let g = Dg.build q.Ast.body in
+      let atomic =
+        if typing then Xd_types.Infer.atomic_fact (Xd_types.Infer.infer_query q)
+        else fun _ -> false
+      in
+      let ctx = C.make_ctx ~atomic s g and octx = O.make_ctx ~atomic s g in
+      let ids = List.map (fun v -> v.Ast.id) in
+      let vs = ids (Dg.vertices g) in
+      ids (C.d_points ctx) = ids (O.d_points octx)
+      && ids (C.interesting_points ctx) = ids (O.interesting_points octx)
+      && List.for_all
+           (fun v ->
+             List.for_all
+               (fun u -> Dg.parse_reaches g v u = O.parse_reaches g v u)
+               vs)
+           vs
+      && outcome (fun () -> Xd_core.Decompose.decompose ~typing s q0)
+         = outcome (fun () -> O.decompose ~typing s q0))
+
 let () =
   Alcotest.run "xd_conditions"
     [
@@ -199,4 +289,5 @@ let () =
           tc "insert_execute_at" test_insert_execute_at;
           tc "update condition" test_update_condition;
         ] );
+      ("oracle", [ prop_oracle ]);
     ]

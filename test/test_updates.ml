@@ -160,6 +160,44 @@ let test_readonly_context_rejects () =
     | exception Xd_lang.Env.Dynamic_error _ -> true
     | _ -> false)
 
+let mentions text sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length text && (String.sub text i n = sub || at (i + 1))
+  in
+  at 0
+
+(* XQUF 1.0 types each update's target: one of the wrong kind, or an
+   insert before/after a node without a parent, is an error raised while
+   the pending update list is built, named by its error code, and the
+   document stays as it was. A delete of a parentless node does nothing. *)
+let test_mistyped_targets () =
+  let xml = {|<r k="1">t<!--c--></r>|} in
+  List.iter
+    (fun (query, code) ->
+      let st = store () in
+      let _ = X.Parser.parse ~store:st ~uri:"d.xml" xml in
+      (match Xd_lang.Eval.run st query with
+      | exception Xd_lang.Env.Dynamic_error m ->
+        check_bool (Printf.sprintf "%s: %s names %s" query m code)
+          (mentions m ("err:" ^ code))
+      | _ -> Alcotest.failf "%s: no error" query);
+      check_string (query ^ ": document unchanged") xml
+        (doc_str (Option.get (X.Store.find_uri st "d.xml"))))
+    [
+      ({|rename node doc("d.xml")/r/text() as "x"|}, "XUTY0012");
+      ({|rename node doc("d.xml")/r/comment() as "x"|}, "XUTY0012");
+      ({|rename node doc("d.xml") as "x"|}, "XUTY0012");
+      ({|replace value of node doc("d.xml") with "v"|}, "XUTY0008");
+      ({|insert node <y/> before doc("d.xml")|}, "XUDY0029");
+      ({|insert node <y/> after doc("d.xml")|}, "XUDY0029");
+      ({|insert node <y/> before doc("d.xml")/r/@k|}, "XUTY0006");
+      ({|insert node <y/> into doc("d.xml")/r/text()|}, "XUTY0005");
+      ({|insert node <y/> into doc("d.xml")/r/comment()|}, "XUTY0005");
+    ];
+  let d = run_update xml {|delete node doc("d.xml")|} in
+  check_string "delete of a parentless node does nothing" xml (doc_str d)
+
 let test_update_parses_and_prints () =
   let roundtrip src =
     let e = Xd_lang.Parser.parse_expr_string src in
@@ -596,6 +634,31 @@ let test_server_refuses_update_on_shipped_param () =
   let d = Option.get (Xd_xrpc.Peer.find_doc client "mine.xml") in
   check_string "original intact" "<r><x/></r>" (X.Serializer.doc d)
 
+(* The same typing, where the decomposer pushes the update to the peer
+   owning its target: the peer's error comes back as an application
+   fault, and the peer's document is untouched. *)
+let test_remote_mistyped_target () =
+  let net, client, a, _ = make_net () in
+  let q =
+    Xd_lang.Parser.parse_query
+      {|rename node (doc("xrpc://peerA/inv.xml")/child::inventory/child::item)[1]/child::stock/child::text() as "x"|}
+  in
+  let plan = Xd_core.Decompose.decompose S.By_projection q in
+  check_slist "pushed to the owner" [ "peerA" ]
+    (List.map snd plan.Xd_core.Decompose.inserted);
+  let inv () =
+    X.Serializer.doc (Option.get (Xd_xrpc.Peer.find_doc a "inv.xml"))
+  in
+  let before = inv () in
+  (match E.run net ~client S.By_projection q with
+  | exception
+      Xd_xrpc.Message.Xrpc_fault
+        { code = Xd_xrpc.Message.App_dynamic; reason; _ } ->
+    check_bool ("fault names XUTY0012: " ^ reason)
+      (mentions reason "err:XUTY0012")
+  | _ -> Alcotest.fail "renaming a text node at peerA raised no fault");
+  check_string "peer document unchanged" before (inv ())
+
 let test_local_update_stays_local () =
   let net, client, _, _ = make_net () in
   ignore
@@ -630,6 +693,7 @@ let () =
           tc "insert survives delete" test_insert_survives_delete;
           tc "replace drops inserted" test_replace_drops_inserted;
           tc "replace PI value" test_replace_pi_value;
+          tc "mistyped targets" test_mistyped_targets;
         ] );
       ("splice", [ prop_splice ]);
       ( "distribution",
@@ -641,5 +705,6 @@ let () =
           tc "local stays local" test_local_update_stays_local;
           tc "server refuses shipped-param update"
             test_server_refuses_update_on_shipped_param;
+          tc "mistyped remote target" test_remote_mistyped_target;
         ] );
     ]
