@@ -326,7 +326,7 @@ let ablation_bulk ~persons () =
     Xd_xrpc.Stats.reset setup.net.Xd_xrpc.Network.stats;
     let v = Xd_xrpc.Session.execute session q in
     let st = setup.net.Xd_xrpc.Network.stats in
-    (Xd_xrpc.Stats.message_bytes st, Xd_xrpc.Stats.messages st, v)
+    Xd_xrpc.Stats.(count st message_bytes, count st messages, v)
   in
   let b1, m1, v1 = stats true in
   let b0, m0, v0 = stats false in
@@ -745,7 +745,7 @@ let overload_run ~shedding ~load ~requests =
   let latencies = ref [] in
   for i = 0 to requests - 1 do
     let arrival = float_of_int i /. rate in
-    Xd_xrpc.Stats.set_network_s stats arrival;
+    Xd_xrpc.Stats.(set stats network_s arrival);
     let session =
       Xd_xrpc.Session.create
         ?deadline:(if shedding then Some overload_deadline_s else None)
@@ -753,7 +753,7 @@ let overload_run ~shedding ~load ~requests =
     in
     match Xd_xrpc.Session.execute session plan.Xd_core.Decompose.query with
     | _ ->
-      let l = Xd_xrpc.Stats.network_s stats -. arrival in
+      let l = Xd_xrpc.Stats.(seconds stats network_s) -. arrival in
       latencies := l :: !latencies;
       if l <= overload_deadline_s then incr ok else incr late
     | exception Xd_xrpc.Message.Xrpc_fault _ -> incr shed

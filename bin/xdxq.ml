@@ -543,7 +543,9 @@ let run docs strategy explain stats code_motion types effects shapes
         match query_log with
         | None -> ()
         | Some path ->
-          let s = net.Xd_xrpc.Network.stats in
+          let module St = Xd_xrpc.Stats in
+          let c = St.count net.Xd_xrpc.Network.stats
+          and s = St.seconds net.Xd_xrpc.Network.stats in
           let open Xd_obs.Sink in
           let field k v = jstr k ^ ":" ^ v in
           let ints =
@@ -570,28 +572,26 @@ let run docs strategy explain stats code_motion types effects shapes
             ]
             @ ints
                 [
-                  ("message_bytes", Xd_xrpc.Stats.message_bytes s);
-                  ("document_bytes", Xd_xrpc.Stats.document_bytes s);
-                  ("messages", Xd_xrpc.Stats.messages s);
-                  ("calls", Xd_xrpc.Stats.calls s);
+                  ("message_bytes", c St.message_bytes);
+                  ("document_bytes", c St.document_bytes);
+                  ("messages", c St.messages);
+                  ("calls", c St.calls);
                 ]
             @ [
-                field "serialize_s" (jfloat (Xd_xrpc.Stats.serialize_s s));
-                field "shred_s" (jfloat (Xd_xrpc.Stats.shred_s s));
-                field "remote_s" (jfloat (Xd_xrpc.Stats.remote_exec_s s));
-                field "network_s" (jfloat (Xd_xrpc.Stats.network_s s));
+                field "serialize_s" (jfloat (s St.serialize_s));
+                field "shred_s" (jfloat (s St.shred_s));
+                field "remote_s" (jfloat (s St.remote_exec_s));
+                field "network_s" (jfloat (s St.network_s));
               ]
             @ ints
                 [
-                  ("faults", Xd_xrpc.Stats.faults s);
-                  ("timeouts", Xd_xrpc.Stats.timeouts s);
-                  ("retries", Xd_xrpc.Stats.retries s);
-                  ("fallbacks", Xd_xrpc.Stats.fallbacks s);
-                  ( "shed",
-                    Xd_xrpc.Stats.ov_shed s + Xd_xrpc.Stats.breaker_shed s
-                  );
-                  ("forwarded", Xd_xrpc.Stats.forwarded s);
-                  ("failovers", Xd_xrpc.Stats.topo_failovers s);
+                  ("faults", c St.faults);
+                  ("timeouts", c St.timeouts);
+                  ("retries", c St.retries);
+                  ("fallbacks", c St.fallbacks);
+                  ("shed", c St.ov_shed + c St.breaker_shed);
+                  ("forwarded", c St.forwarded);
+                  ("failovers", c St.topo_failovers);
                 ]
             @ [
                 field "catalog_epoch"

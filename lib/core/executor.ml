@@ -201,7 +201,8 @@ let run_plan ?record ?bulk ?timeout_s ?retries ?dedup_cap ?deadline
   (* the tracer's simulated clock is the run's accumulated wire time *)
   Option.iter
     (fun tr ->
-      Xd_obs.Trace.set_sim tr (fun () -> Xd_xrpc.Stats.network_s stats))
+      Xd_obs.Trace.set_sim tr (fun () ->
+          Xd_xrpc.Stats.(seconds stats network_s)))
     trace;
   let session =
     (* the retry budget is a shared pool: one counter for the whole plan
@@ -246,52 +247,53 @@ let run_plan ?record ?bulk ?timeout_s ?retries ?dedup_cap ?deadline
         else Xd_xrpc.Session.execute session plan.Decompose.query)
   in
   let wall = Xd_obs.Trace.now () -. t0 in
+  (* the timing record is a snapshot of the registry's declared metrics *)
   let module St = Xd_xrpc.Stats in
+  let c = St.count stats and s = St.seconds stats in
   let timing =
     {
       wall_s = wall;
       local_exec_s =
         Float.max 0.
-          (wall -. St.serialize_s stats -. St.shred_s stats
-          -. St.remote_exec_s stats);
-      serialize_s = St.serialize_s stats;
-      shred_s = St.shred_s stats;
-      remote_exec_s = St.remote_exec_s stats;
-      network_s = St.network_s stats;
-      message_bytes = St.message_bytes stats;
-      document_bytes = St.document_bytes stats;
-      messages = St.messages stats;
-      faults = St.faults stats;
-      timeouts = St.timeouts stats;
-      retries = St.retries stats;
-      fallbacks = St.fallbacks stats;
-      dedup_hits = St.dedup_hits stats;
-      dedup_evictions = St.dedup_evictions stats;
-      txn_staged = St.txn_staged stats;
-      txn_commits = St.txn_commits stats;
-      txn_aborts = St.txn_aborts stats;
-      calls = St.calls stats;
-      sched_groups = St.sched_groups stats;
-      sched_overlapped = St.sched_overlapped stats;
-      sched_saved_s = St.sched_saved_s stats;
-      batch_envelopes = St.batch_envelopes stats;
-      batch_calls = St.batch_calls stats;
-      forwarded = St.forwarded stats;
-      topo_resolutions = St.topo_resolutions stats;
-      topo_failovers = St.topo_failovers stats;
-      topo_epoch_aborts = St.topo_epoch_aborts stats;
-      ov_admitted = St.ov_admitted stats;
-      ov_shed = St.ov_shed stats;
-      ov_deadline_rejects = St.ov_deadline_rejects stats;
-      ov_queue_wait_s = St.ov_queue_wait_s stats;
-      breaker_opens = St.breaker_opens stats;
-      breaker_shed = St.breaker_shed stats;
-      breaker_probes = St.breaker_probes stats;
-      retry_budget_stops = St.retry_budget_stops stats;
-      codec_compiled = St.codec_compiled stats;
-      codec_decodes = St.codec_decodes stats;
-      codec_event_shreds = St.codec_event_shreds stats;
-      codec_bailouts = St.codec_bailouts stats;
+          (wall -. s St.serialize_s -. s St.shred_s -. s St.remote_exec_s);
+      serialize_s = s St.serialize_s;
+      shred_s = s St.shred_s;
+      remote_exec_s = s St.remote_exec_s;
+      network_s = s St.network_s;
+      message_bytes = c St.message_bytes;
+      document_bytes = c St.document_bytes;
+      messages = c St.messages;
+      faults = c St.faults;
+      timeouts = c St.timeouts;
+      retries = c St.retries;
+      fallbacks = c St.fallbacks;
+      dedup_hits = c St.dedup_hits;
+      dedup_evictions = c St.dedup_evictions;
+      txn_staged = c St.txn_staged;
+      txn_commits = c St.txn_commits;
+      txn_aborts = c St.txn_aborts;
+      calls = c St.calls;
+      sched_groups = c St.sched_groups;
+      sched_overlapped = c St.sched_overlapped;
+      sched_saved_s = s St.sched_saved_s;
+      batch_envelopes = c St.batch_envelopes;
+      batch_calls = c St.batch_calls;
+      forwarded = c St.forwarded;
+      topo_resolutions = c St.topo_resolutions;
+      topo_failovers = c St.topo_failovers;
+      topo_epoch_aborts = c St.topo_epoch_aborts;
+      ov_admitted = c St.ov_admitted;
+      ov_shed = c St.ov_shed;
+      ov_deadline_rejects = c St.ov_deadline_rejects;
+      ov_queue_wait_s = s St.ov_queue_wait_s;
+      breaker_opens = c St.breaker_opens;
+      breaker_shed = c St.breaker_shed;
+      breaker_probes = c St.breaker_probes;
+      retry_budget_stops = c St.retry_budget_stops;
+      codec_compiled = c St.codec_compiled;
+      codec_decodes = c St.codec_decodes;
+      codec_event_shreds = c St.codec_event_shreds;
+      codec_bailouts = c St.codec_bailouts;
     }
   in
   { value; plan; timing; trace_root }

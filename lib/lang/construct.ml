@@ -53,29 +53,34 @@ let add_content b content =
   in
   go false content
 
+(* A constructed node is parentless: the top node of its fresh document
+   has its parent link cut (Node.parent, Node.root). *)
+let parentless store b =
+  let d = X.Doc.Builder.finish b in
+  if X.Doc.n_nodes d > 1 then d.X.Doc.parent.(1) <- -1;
+  X.Store.add store d
+
 let element store name (items : Value.t) =
   let attrs, content = split_content items in
   let b = X.Doc.Builder.create () in
   X.Doc.Builder.start_element b name attrs;
   add_content b content;
   X.Doc.Builder.end_element b;
-  let doc = X.Store.add store (X.Doc.Builder.finish b) in
-  X.Node.of_tree doc 1
+  X.Node.of_tree (parentless store b) 1
 
 (* A standalone constructed attribute lives on a synthetic wrapper element;
    its handle is the attribute node itself. *)
 let attribute store name value_string =
   let b = X.Doc.Builder.create () in
-  X.Doc.Builder.start_element b "xdx:attribute-wrapper" [ (name, value_string) ];
+  X.Doc.Builder.start_element b X.Node.attribute_wrapper
+    [ (name, value_string) ];
   X.Doc.Builder.end_element b;
-  let doc = X.Store.add store (X.Doc.Builder.finish b) in
-  X.Node.of_attr doc 0
+  X.Node.of_attr (parentless store b) 0
 
 let text store s =
   let b = X.Doc.Builder.create () in
   X.Doc.Builder.text b s;
-  let doc = X.Store.add store (X.Doc.Builder.finish b) in
-  X.Node.of_tree doc 1
+  X.Node.of_tree (parentless store b) 1
 
 let document store (items : Value.t) =
   let attrs, content = split_content items in
@@ -85,16 +90,3 @@ let document store (items : Value.t) =
   add_content b content;
   let doc = X.Store.add store (X.Doc.Builder.finish b) in
   X.Node.doc_node doc
-
-(* Deep copy of an arbitrary node into [store] with fresh identity; the
-   building block of message shredding. *)
-let deep_copy store n =
-  match X.Node.kind n with
-  | X.Node.Attribute -> attribute store (X.Node.name n) (X.Node.string_value n)
-  | X.Node.Document -> document store (List.map (fun c -> Value.N c) (X.Node.children n))
-  | X.Node.Text -> text store (X.Node.string_value n)
-  | _ ->
-    let b = X.Doc.Builder.create () in
-    copy_into b n;
-    let doc = X.Store.add store (X.Doc.Builder.finish b) in
-    X.Node.of_tree doc 1

@@ -15,4 +15,3 @@ val attribute : Xd_xml.Store.t -> string -> string -> Xd_xml.Node.t
 
 val text : Xd_xml.Store.t -> string -> Xd_xml.Node.t
 val document : Xd_xml.Store.t -> Value.t -> Xd_xml.Node.t
-val deep_copy : Xd_xml.Store.t -> Xd_xml.Node.t -> Xd_xml.Node.t

@@ -524,7 +524,9 @@ let edit_structure d g =
     let pos = ref (i + 1) in
     while !next < Array.length targets && targets.(!next) < stop do
       let c = ref targets.(!next) in
-      while d.parent.(!c) <> i do c := d.parent.(!c) done;
+      (* ancestors below [i] have larger indexes; a constructed
+         fragment's top (parent -1) stops the climb as well *)
+      while d.parent.(!c) > i do c := d.parent.(!c) done;
       copy i !pos !c;
       node !c;
       pos := !c + d.size.(!c) + 1

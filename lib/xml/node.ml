@@ -89,8 +89,19 @@ let contains a d =
 (* --- axes -------------------------------------------------------------
    All axes return nodes in document order (path-step semantics). *)
 
+(* A constructed node is parentless: its constructor builds it as node 1
+   of a fresh document and cuts node 1's parent link, so the document
+   node is out of reach. A standalone attribute hangs on a synthetic
+   wrapper element, which is out of reach too. *)
+let attribute_wrapper = "xdx:attribute-wrapper"
+let cut d = Doc.n_nodes d > 1 && d.Doc.parent.(1) < 0
+
+let wrapped n =
+  n.attr >= 0 && n.idx = 1 && cut n.doc
+  && n.doc.Doc.name.(1) = attribute_wrapper
+
 let parent n =
-  if n.attr >= 0 then Some (of_tree n.doc n.idx)
+  if n.attr >= 0 then if wrapped n then None else Some (of_tree n.doc n.idx)
   else
     let p = n.doc.Doc.parent.(n.idx) in
     if p < 0 then None else Some (of_tree n.doc p)
@@ -116,14 +127,15 @@ let[@inline] fold_attributes f n acc =
 
 (* The node just before a child of p in pre-order is p itself or the last
    node of the previous child's subtree; climbing parents from it finds
-   that previous child. *)
+   that previous child (ancestors below p have larger indexes, and a cut
+   top, parent -1, is a child of the document node too). *)
 let[@inline] fold_children f n acc =
   if n.attr >= 0 then acc
   else begin
     let d = n.doc and p = n.idx in
     let acc = ref acc and c = ref (p + d.Doc.size.(p)) in
     while !c > p do
-      while d.Doc.parent.(!c) <> p do
+      while d.Doc.parent.(!c) > p do
         c := d.Doc.parent.(!c)
       done;
       acc := f (of_tree d !c) !acc;
@@ -187,7 +199,11 @@ let following n =
   let total = Doc.n_nodes d in
   List.init (max 0 (total - start)) (fun i -> of_tree d (start + i))
 
-(* preceding: nodes before n in document order, excluding ancestors. *)
+let root n =
+  if wrapped n then n else of_tree n.doc (if cut n.doc then 1 else 0)
+
+(* preceding: nodes before n in document order, excluding ancestors and
+   anything above its root. *)
 let preceding n =
   let base = if n.attr >= 0 then of_tree n.doc n.idx else n in
   let d = base.doc in
@@ -198,9 +214,7 @@ let preceding n =
       let acc = if List.mem i ancs then acc else of_tree d i :: acc in
       loop (i + 1) acc
   in
-  loop 0 []
-
-let root n = of_tree n.doc 0
+  loop (root base).idx []
 
 let pp fmt n =
   match kind n with

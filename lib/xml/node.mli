@@ -53,7 +53,14 @@ val fold_descendants : (t -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_descendant_or_self : (t -> 'a -> 'a) -> t -> 'a -> 'a
 val fold_attributes : (t -> 'a -> 'a) -> t -> 'a -> 'a
 
+val attribute_wrapper : string
+(** The name of the element a standalone attribute hangs on. *)
+
 val parent : t -> t option
+(** [None] for a document node and for a constructed node: a constructor
+    cuts node 1's parent link in its fresh document, and a standalone
+    attribute's wrapper element is no parent. *)
+
 val attributes : t -> t list
 val children : t -> t list
 val descendants : t -> t list
@@ -65,5 +72,6 @@ val preceding_sibling : t -> t list
 val following : t -> t list
 val preceding : t -> t list
 val root : t -> t
+(** The outermost node {!parent} reaches, in constant time. *)
 
 val pp : Format.formatter -> t -> unit

@@ -73,7 +73,8 @@ let heal t = t.fault <- Fault.none
 (* Each peer owns one journal, shared by every session that serves it and
    surviving sessions — which is what lets a fresh coordinator session
    recover transactions an earlier crashed execution left behind. Every
-   appended record ticks the shared journal.records metric. *)
+   appended record ticks the shared journal.records metric, which
+   registers when the first journal opens, record or not. *)
 let journal t peer =
   match Hashtbl.find_opt t.journals peer with
   | Some j -> j
@@ -83,10 +84,8 @@ let journal t peer =
       | Some dir -> Journal.open_file ~dir ~peer
       | None -> Journal.in_memory ~peer
     in
-    let recs =
-      Xd_obs.Metrics.counter (Stats.registry t.stats) "journal.records"
-    in
-    Journal.on_append j (fun _ -> Xd_obs.Metrics.incr recs);
+    Stats.incr ~by:0 t.stats Stats.journal_records;
+    Journal.on_append j (fun _ -> Stats.incr t.stats Stats.journal_records);
     Hashtbl.replace t.journals peer j;
     j
 
@@ -106,9 +105,10 @@ let find_peer t name =
 let transfer ?(kind = `Message) t bytes =
   (match kind with
   | `Message -> Stats.add_message t.stats ~bytes
-  | `Document -> Stats.add_document t.stats ~bytes);
-  Stats.add_network_s t.stats
-    (t.latency_s +. (float_of_int bytes /. t.bandwidth_bytes_per_s))
+  | `Document ->
+    Stats.incr ~by:bytes t.stats Stats.document_bytes;
+    Stats.incr t.stats Stats.documents);
+  Stats.add t.stats Stats.network_s (wire_s t bytes)
 
 type delivery = Delivered of { text : string; duplicated : bool } | Dropped
 
@@ -139,7 +139,7 @@ let send ?meta ?(hidden = []) t ~dst text =
   (match t.catalog with
   | Some cat ->
     List.iter
-      (fun _ev -> Stats.incr_churn_events t.stats)
+      (fun _ev -> Stats.incr t.stats Stats.topo_churn_events)
       (Xd_topo.Churn.tick t.churn cat ~count:t.sent)
   | None -> ());
   let at, hlen = match meta with None -> (0, 0) | Some (a, l) -> (a, l) in
@@ -176,7 +176,7 @@ let send ?meta ?(hidden = []) t ~dst text =
       Delivered { text = String.sub text 0 cut; duplicated = false }
     | Fault.Delay_by s ->
       Stats.incr_faults ~kind:"delay" t.stats;
-      Stats.add_network_s t.stats s;
+      Stats.add t.stats Stats.network_s s;
       Delivered { text; duplicated = false }
     | Fault.Restart_peer ->
       Stats.incr_faults ~kind:"restart" t.stats;

@@ -45,7 +45,8 @@ type breaker = {
 }
 
 type peer_state = {
-  mutable slots : float list; (* end times of admitted, unfinished work *)
+  mutable slots : (float * float) list;
+      (* (end, arrival) of admitted, unfinished work, by end time *)
   breaker : breaker;
 }
 
@@ -98,21 +99,28 @@ type admission =
 
 (* Drop slots that have drained by [now], keeping the rest sorted. *)
 let prune ps ~now =
-  ps.slots <- List.sort compare (List.filter (fun e -> e > now) ps.slots)
+  ps.slots <- List.sort compare (List.filter (fun (e, _) -> e > now) ps.slots)
 
 let admit t ~peer ~now ?deadline ~units () =
   let units = Stdlib.max 1 units in
   let c = t.config in
   let ps = peer_state t peer in
   prune ps ~now;
-  let busy = List.length ps.slots in
+  (* An arrival queues only behind work that arrived no later than it.
+     An overlap group rewinds the simulated clock for each member, and a
+     member that reached this peer later on that clock is not ahead of
+     this one; a monotone clock never shows a later arrival. *)
+  let ahead =
+    List.filter_map (fun (e, a) -> if a <= now then Some e else None) ps.slots
+  in
+  let busy = List.length ahead in
   let start =
     if busy < c.capacity then now
     else
       (* every slot is taken: we start when enough earlier admissions
          drain that the in-flight count drops below capacity — the
          (busy - capacity)-th smallest end time (slots are sorted) *)
-      List.nth ps.slots (busy - c.capacity)
+      List.nth ahead (busy - c.capacity)
   in
   let wait_s = start -. now in
   let service = float_of_int units *. c.service_s in
@@ -122,10 +130,10 @@ let admit t ~peer ~now ?deadline ~units () =
   | Some d when d < wait_s +. service -> Hopeless { needed_s = wait_s +. service }
   | _ ->
     if depth >= c.queue_cap && busy >= c.capacity then
-      let earliest = List.nth ps.slots 0 in
+      let earliest = List.nth ahead 0 in
       Busy { retry_after_s = Float.max c.service_s (earliest -. now) }
     else begin
-      ps.slots <- List.sort compare (finish :: ps.slots);
+      ps.slots <- List.sort compare ((finish, now) :: ps.slots);
       Admit { start; finish; wait_s; depth }
     end
 

@@ -57,8 +57,9 @@ val admit :
   t -> peer:string -> now:float -> ?deadline:float -> units:int -> unit ->
   admission
 (** One admission decision for an envelope of [units] calls (a batch
-    occupies one slot for [units * service_s]). Mutates the peer's slot
-    list on [Admit]. *)
+    occupies one slot for [units * service_s]), arriving at [now]. It
+    queues only behind admissions that arrived no later than [now].
+    Mutates the peer's slot list on [Admit]. *)
 
 (** {2 Circuit breakers} *)
 

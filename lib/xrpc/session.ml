@@ -149,24 +149,9 @@ let span_note session ~cat name =
     ~parent:(Trace.ambient session.cur)
     ~peer:(Peer.name session.self) ~cat name
 
-(* Record on [sp] how far a Stats reader moved across [f] — the exact
-   amount the region charged to its bucket. Span wall clocks are
-   separate clock reads and drift against the gauges; the deltas
-   are what lets Profile reconcile per-vertex sums with the registry
-   totals to the float, not to a tolerance. No-ops when untraced. *)
-let attr_delta_f sp key reader f =
-  match sp with
-  | None -> f ()
-  | Some _ ->
-      let before = reader () in
-      Fun.protect
-        ~finally:(fun () ->
-          Trace.add_attr sp key (Trace.F (reader () -. before)))
-        f
-
-(* Same for integer counters — used to stamp network spans with the
-   bytes they billed (retransmissions included, since the delta spans
-   the whole exchange). *)
+(* Record on [sp] how far a byte count moved across [f]: network spans
+   carry the bytes they billed (retransmissions included, since the
+   delta spans the whole exchange). No-op when untraced. *)
 let attr_delta_i sp key reader f =
   match sp with
   | None -> f ()
@@ -176,27 +161,34 @@ let attr_delta_i sp key reader f =
         ~finally:(fun () -> Trace.add_attr sp key (Trace.I (reader () - before)))
         f
 
-(* Traced accounting regions: a span in the matching category whose
-   [busy_s] attribute carries the exact bucket delta the region charged.
-   (A remote span's delta includes nested remote charges — Profile
+(* An accounted region: [f] under one Stats timed scope, in a span of
+   the bucket's category whose [busy_s] attribute is exactly what the
+   region moved the bucket by. Span wall clocks are separate clock
+   reads and drift against the gauges; the delta is what lets Profile
+   reconcile per-vertex sums with the registry totals to the float. (A
+   remote span's delta includes nested remote charges — Profile
    subtracts descendant remote spans to recover the self amount.) *)
-let ser_traced session name f =
+let accounted ?peer session scope name f =
   let stats = session.net.Network.stats in
-  traced session ~cat:"serialize" name @@ fun sp ->
-  attr_delta_f sp "busy_s" (fun () -> Stats.serialize_s stats) @@ fun () ->
-  Stats.time_serialize stats f
+  let cat =
+    match scope with
+    | Stats.Serialize -> "serialize"
+    | Stats.Shred -> "shred"
+    | Stats.Remote -> "remote"
+  in
+  traced ?peer session ~cat name @@ fun sp ->
+  match sp with
+  | None -> Stats.time stats scope f
+  | Some _ ->
+    let seconds () = Stats.seconds stats (Stats.bucket scope) in
+    let before = seconds () in
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.add_attr sp "busy_s" (Trace.F (seconds () -. before)))
+      (fun () -> Stats.time stats scope f)
 
-let shred_traced session name f =
-  let stats = session.net.Network.stats in
-  traced session ~cat:"shred" name @@ fun sp ->
-  attr_delta_f sp "busy_s" (fun () -> Stats.shred_s stats) @@ fun () ->
-  Stats.time_shred stats f
-
-let remote_traced session name f =
-  let stats = session.net.Network.stats in
-  traced session ~cat:"remote" name @@ fun sp ->
-  attr_delta_f sp "busy_s" (fun () -> Stats.remote_exec_s stats) @@ fun () ->
-  Stats.time_remote stats f
+(* The run's simulated clock: its accumulated wire time. *)
+let sim_now session = Stats.seconds session.net.Network.stats Stats.network_s
 
 let recorded session = Option.map (fun r -> List.rev !r) session.record
 
@@ -244,7 +236,7 @@ let deadline_now session =
     match session.deadline_rel with
     | None -> None
     | Some rel ->
-      let d = Stats.network_s session.net.Network.stats +. rel in
+      let d = sim_now session +. rel in
       session.deadline_at <- Some d;
       Some d)
 
@@ -253,9 +245,7 @@ let deadline_active session =
 
 (* The budget left now, as an outgoing message stamps it. *)
 let remaining_budget session =
-  Option.map
-    (fun d -> d -. Stats.network_s session.net.Network.stats)
-    (deadline_now session)
+  Option.map (fun d -> d -. sim_now session) (deadline_now session)
 
 (* Charge one backoff wait to the simulated clock, honoring a server's
    retry-after suggestion when it exceeds our own jittered schedule. The
@@ -269,7 +259,7 @@ let charge_backoff session ~key ~attempt =
     | None -> backoff
   in
   session.retry_after_hint <- None;
-  Stats.add_network_s stats wait
+  Stats.add stats Stats.network_s wait
 
 (* The shared per-query retry pool: [true] when this retry may proceed
    (and is charged), [false] when the pool is spent. *)
@@ -282,7 +272,7 @@ let retry_allowed session =
       true
     end
     else begin
-      Stats.incr_retry_budget_stops session.net.Network.stats;
+      Stats.incr session.net.Network.stats Stats.retry_budget_stops;
       false
     end
 
@@ -310,12 +300,12 @@ let with_retries session ~key ~expired send read =
       Error (n - 1, last)
     else begin
       if n > 1 then begin
-        Stats.incr_retries stats;
+        Stats.incr stats Stats.retries;
         charge_backoff session ~key ~attempt:n
       end;
       match deadline_now session with
-      | Some d when Stats.network_s stats >= d ->
-        Stats.incr_deadline_rejects stats;
+      | Some d when sim_now session >= d ->
+        Stats.incr stats Stats.ov_deadline_rejects;
         Ok (expired n)
       | _ -> (
         match
@@ -324,8 +314,8 @@ let with_retries session ~key ~expired send read =
           Trace.add_attr asp "retry" (Trace.I (n - 1));
           match send asp with
           | None ->
-            Stats.incr_timeouts stats;
-            Stats.add_network_s stats session.timeout_s;
+            Stats.incr stats Stats.timeouts;
+            Stats.add stats Stats.network_s session.timeout_s;
             Trace.add_attr asp "timeout" (Trace.B true);
             Error `Timeout
           | Some reply -> (
@@ -408,7 +398,7 @@ let remember_reply session id resp =
     if Queue.length session.replied_order > session.dedup_cap then begin
       let victim = Queue.pop session.replied_order in
       Hashtbl.remove session.replied victim;
-      Stats.incr_dedup_evictions session.net.Network.stats
+      Stats.incr session.net.Network.stats Stats.dedup_evictions
     end
   end
 
@@ -417,7 +407,8 @@ let remember_reply session id resp =
 let parse_message session text =
   let msg = Message.parse text in
   let n = Hashtbl.length msg.Message.prebuilt in
-  if n > 0 then Stats.add_codec_event_shreds session.net.Network.stats n;
+  if n > 0 then
+    Stats.incr ~by:n session.net.Network.stats Stats.codec_event_shreds;
   msg
 
 let find_path names node =
@@ -527,20 +518,15 @@ and resolve_doc session env uri =
             Env.dynamic_error "document %S not found at %s" doc_name host
         in
         let text =
-          traced ~peer:host session ~cat:"serialize" "document" @@ fun ssp ->
-          attr_delta_f ssp "busy_s" (fun () -> Stats.serialize_s stats)
-          @@ fun () ->
-          Stats.time_serialize stats (fun () -> X.Serializer.doc doc)
+          accounted ~peer:host session Stats.Serialize "document" (fun () ->
+              X.Serializer.doc doc)
         in
         (traced session ~cat:"network" ("ship " ^ doc_name) @@ fun nsp ->
          attr_delta_i nsp "bytes" (fun () -> Stats.total_bytes stats)
          @@ fun () ->
          Network.transfer ~kind:`Document session.net (String.length text));
         let d =
-          traced session ~cat:"shred" "document" @@ fun hsp ->
-          attr_delta_f hsp "busy_s" (fun () -> Stats.shred_s stats)
-          @@ fun () ->
-          Stats.time_shred stats (fun () ->
+          accounted session Stats.Shred "document" (fun () ->
               X.Parser.parse ~store:(Peer.store session.self) ~uri text)
         in
         Hashtbl.replace session.fetched uri d;
@@ -661,10 +647,10 @@ and compiled_request session ~host ?req_id ?txn ?epoch (x : Ast.execute_at)
             ?req_id ?txn ?epoch ?deadline:(remaining_budget session) args
         with
         | Some text ->
-          Stats.incr_codec_compiled stats;
+          Stats.incr stats Stats.codec_compiled;
           Some text
         | None ->
-          Stats.incr_codec_bailouts stats;
+          Stats.incr stats Stats.codec_bailouts;
           None))
 
 (* ---------------- server side ----------------------------------------- *)
@@ -730,7 +716,7 @@ and handle_request_guarded session ~client_name request_text =
       Stats.incr_faults ~kind:"app" stats;
       Trace.add_attr session.cur "fault"
         (Trace.S (Message.fault_code_to_string code));
-      ser_traced session "fault" (fun () ->
+      accounted session Stats.Serialize "fault" (fun () ->
           Message.write_fault ~code ~reason ()))
 
 (* The admission + deadline gate. Every unit of real work — a <request>,
@@ -745,20 +731,20 @@ and handle_request_guarded session ~client_name request_text =
    attribute either the gate costs one attribute probe. *)
 and admission_gate session node ~units k =
   let stats = session.net.Network.stats in
-  let now = Stats.network_s stats in
+  let now = sim_now session in
   let remaining = Message.parse_deadline node in
   let abs = Option.map (fun r -> now +. r) remaining in
   let refuse code ?retry_after reason =
     (match code with
     | Message.Server_overloaded ->
-      Stats.incr_ov_shed stats;
+      Stats.incr stats Stats.ov_shed;
       Stats.incr_faults ~kind:"overload" stats
     | _ ->
-      Stats.incr_deadline_rejects stats;
+      Stats.incr stats Stats.ov_deadline_rejects;
       Stats.incr_faults ~kind:"deadline" stats);
     Trace.add_attr session.cur "fault"
       (Trace.S (Message.fault_code_to_string code));
-    ser_traced session "fault" (fun () ->
+    accounted session Stats.Serialize "fault" (fun () ->
         Message.write_fault ?retry_after ~code ~reason ())
   in
   let verdict =
@@ -786,10 +772,11 @@ and admission_gate session node ~units k =
           (refuse Message.Server_overloaded ~retry_after:retry_after_s
              (Printf.sprintf "admission queue full at %s" peer))
       | Overload.Admit { wait_s; depth; start = _; finish = _ } ->
-        Stats.add_admitted stats ~wait_s;
+        Stats.incr stats Stats.ov_admitted;
+        Stats.add stats Stats.ov_queue_wait_s wait_s;
         Stats.set_queue_depth ~peer stats depth;
         if wait_s > 0. then begin
-          Stats.add_network_s stats wait_s;
+          Stats.add stats Stats.network_s wait_s;
           (* bill the queueing delay to the span handling this request,
              so profiles attribute it to the vertex that caused it *)
           Trace.add_attr session.cur "queue_wait_s" (Trace.F wait_s)
@@ -811,7 +798,7 @@ and admission_gate session node ~units k =
 and handle_request_exn session ~client_name request_text =
   let stats = session.net.Network.stats in
   let body, msg =
-    shred_traced session "request" (fun () ->
+    accounted session Stats.Shred "request" (fun () ->
         let msg = parse_message session request_text in
         let root = X.Node.doc_node msg.Message.doc in
         match find_path [ "env:Envelope"; "env:Body" ] root with
@@ -871,7 +858,7 @@ and handle_request_exn session ~client_name request_text =
       | Some cached ->
         (* a retransmission of a request we already answered: replay the
            response instead of re-evaluating (at-most-once updates) *)
-        Stats.incr_dedup_hits stats;
+        Stats.incr stats Stats.dedup_hits;
         Trace.add_attr session.cur "dedup" (Trace.B true);
         cached
       | None ->
@@ -902,8 +889,8 @@ and handle_batch session ~client_name msg batch =
     (* a nested call of an earlier slot may have burned the envelope's
        whole budget: remaining slots are answered late, not evaluated *)
     match deadline_now session with
-    | Some d when Stats.network_s stats >= d ->
-      Stats.incr_deadline_rejects stats;
+    | Some d when sim_now session >= d ->
+      Stats.incr stats Stats.ov_deadline_rejects;
       Message.fault_body ~code:Message.Deadline_exceeded
         ~reason:"batch slot reached past the deadline budget" ()
     | _ -> (
@@ -939,7 +926,8 @@ and handle_txn_control session action txn ~epoch =
   Trace.add_attr tsp "txn" (Trace.S txn);
   let ack a =
     Trace.add_attr tsp "ack" (Trace.S (Message.txn_ack_to_string a));
-    ser_traced session "ack" (fun () -> Message.write_txn_ack ~txn ~ack:a)
+    accounted session Stats.Serialize "ack" (fun () ->
+        Message.write_txn_ack ~txn ~ack:a)
   in
   match action with
   | Message.Prepare ->
@@ -957,7 +945,7 @@ and handle_txn_control session action txn ~epoch =
       | _ -> false
     in
     if stale then begin
-      Stats.incr_topo_epoch_aborts stats;
+      Stats.incr stats Stats.topo_epoch_aborts;
       Trace.add_attr tsp "stale-epoch" (Trace.B true);
       Journal.abort j ~txn;
       ack Message.Ack_aborted
@@ -974,7 +962,7 @@ and handle_txn_control session action txn ~epoch =
       Message.protocol_error
         "commit for unknown or aborted transaction %s" txn
     | `Apply puls ->
-      remote_traced session "apply staged" (fun () ->
+      accounted session Stats.Remote "apply staged" (fun () ->
           ignore (Xd_lang.Update.apply_staged (Peer.store session.self) puls));
       Journal.committed j ~txn;
       ack Message.Ack_committed)
@@ -982,7 +970,7 @@ and handle_txn_control session action txn ~epoch =
 and handle_parsed session ~client_name ~ep ?req_id msg req =
   let passing = Message.passing_of_string (Message.req_attr req "passing") in
   let txn_attr = Message.attr_of req "txn" in
-  shred_traced session "fragments" (fun () ->
+  accounted session Stats.Shred "fragments" (fun () ->
       Message.shred_fragments msg ep ~from_host:client_name
         (Message.find_child req "fragments"));
   (* module: parse and cache the caller's function definitions *)
@@ -1057,7 +1045,7 @@ and handle_parsed session ~client_name ~ep ?req_id msg req =
   in
   let staged = ref 0 in
   let result =
-    remote_traced session "evaluate" (fun () ->
+    accounted session Stats.Remote "evaluate" (fun () ->
         let body = Xd_lang.Parser.parse_expr_string body_text in
         let vars =
           List.fold_left
@@ -1090,7 +1078,7 @@ and handle_parsed session ~client_name ~ep ?req_id msg req =
             v))
   in
   (* response *)
-  ser_traced session "response" (fun () ->
+  accounted session Stats.Serialize "response" (fun () ->
       let result_nodes =
         List.filter_map
           (function Value.N n -> Some n | Value.A _ -> None)
@@ -1169,7 +1157,7 @@ and stage_updates session (env : Env.t) ~txn ~req_id =
         ~req:(Option.value ~default:"" req_id)
         ~pul:(Xd_lang.Pul.to_xml pending)
     then begin
-      Stats.add_txn_staged session.net.Network.stats n;
+      Stats.incr ~by:n session.net.Network.stats Stats.txn_staged;
       let sp = span_note session ~cat:"txn" "stage" in
       Trace.add_attr sp "staged" (Trace.I n);
       Trace.finish session.tracer sp
@@ -1238,20 +1226,20 @@ and shred_response session ?vertex ~ep ~host response_text :
   match compiled with
   | Some rd -> (
     match
-      shred_traced session "response" (fun () ->
+      accounted session Stats.Shred "response" (fun () ->
           Codec.decode_response rd response_text)
     with
     | Some v ->
-      Stats.incr_codec_decodes stats;
+      Stats.incr stats Stats.codec_decodes;
       (v, None)
     | None ->
-      Stats.incr_codec_bailouts stats;
+      Stats.incr stats Stats.codec_bailouts;
       shred_response_generic session ~ep ~host response_text)
   | None -> shred_response_generic session ~ep ~host response_text
 
 and shred_response_generic session ~ep ~host response_text :
     Value.t * (int * string list) option =
-  shred_traced session "response" (fun () ->
+  accounted session Stats.Shred "response" (fun () ->
       match
         read_reply session ~host ~what:"response"
           ~expect:[ "response"; "forward" ] response_text
@@ -1281,7 +1269,7 @@ and shred_batch_response session ~ep ~host ~calls response_text :
     raise
       (Message.Xrpc_fault { host; code = Message.Transport_corrupt; reason })
   in
-  shred_traced session "batch response" (fun () ->
+  accounted session Stats.Shred "batch response" (fun () ->
       let b, msg =
         read_reply session ~host ~what:"response" ~expect:[ "batch" ]
           response_text
@@ -1323,7 +1311,7 @@ and degradable (x : Ast.execute_at) =
    read-only body here; relative URIs in the body meant the peer's own
    store, so they resolve as xrpc://host/uri. *)
 and degrade session env (x : Ast.execute_at) ~host ~args =
-  Stats.incr_fallbacks session.net.Network.stats;
+  Stats.incr session.net.Network.stats Stats.fallbacks;
   traced session ~cat:"fallback" ("degrade " ^ host) @@ fun fsp ->
   Trace.add_attr fsp "host" (Trace.S host);
   let resolve e uri =
@@ -1352,9 +1340,7 @@ and send_on_wire session ~dst ?hdr_span text =
     | None -> text
     | Some d ->
       let remaining =
-        d
-        -. Stats.network_s session.net.Network.stats
-        -. Network.wire_s session.net (String.length text)
+        d -. sim_now session -. Network.wire_s session.net (String.length text)
       in
       fst (Message.patch_deadline text ~remaining)
   in
@@ -1437,7 +1423,7 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
     | _ -> None
   in
   let req_text =
-    ser_traced session "request" (fun () ->
+    accounted session Stats.Serialize "request" (fun () ->
         match
           compiled_request session ~host ?req_id ?txn ?epoch x ~args ~funcs
         with
@@ -1535,7 +1521,7 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
                   | _ -> false) -> (
         match catalog_owner cat (body_doc_names x.Ast.body) with
         | Some owner ->
-          Stats.incr_topo_resolutions stats;
+          Stats.incr stats Stats.topo_resolutions;
           if owner <> host then begin
             let sp = span_note session ~cat:"topo" "resolve" in
             Trace.add_attr sp "computed" (Trace.S host);
@@ -1561,14 +1547,14 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
       | None -> `Proceed
       | Some ov -> (
         match
-          Overload.breaker_check ov ~peer:host ~now:(Stats.network_s stats)
+          Overload.breaker_check ov ~peer:host ~now:(sim_now session)
         with
         | Overload.Proceed -> `Proceed
         | Overload.Probe ->
-          Stats.incr_breaker_probes stats;
+          Stats.incr stats Stats.breaker_probes;
           `Proceed
         | Overload.Shed { until } ->
-          Stats.incr_breaker_shed stats;
+          Stats.incr stats Stats.breaker_shed;
           `Shed until)
     in
     let breaker_failure host =
@@ -1576,9 +1562,9 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
       | None -> ()
       | Some ov ->
         let before = Overload.breaker_opens ov in
-        Overload.breaker_failure ov ~peer:host ~now:(Stats.network_s stats);
+        Overload.breaker_failure ov ~peer:host ~now:(sim_now session);
         if Overload.breaker_opens ov > before then
-          Stats.incr_breaker_opens stats
+          Stats.incr stats Stats.breaker_opens
     in
     (* A ladder event. It is noted after the call span has closed, so it
        names the vertex whose call caused it — the profile charges it
@@ -1612,7 +1598,7 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
         | None -> ());
         v
       | Ok (`Forward (doc, fwd_owner, fwd_epoch)) ->
-        Stats.incr_forwarded stats;
+        Stats.incr stats Stats.forwarded;
         note ~cat:"topo" "forward"
           [
             ("from", Trace.S host);
@@ -1661,7 +1647,7 @@ and execute_at session env (x : Ast.execute_at) ~host ~args =
     and fall_back ~hops ~visited host fail =
       match failover_target session x ~visited host with
       | Some replica when degradable x ->
-        Stats.incr_topo_failovers stats;
+        Stats.incr stats Stats.topo_failovers;
         note ~cat:"topo" "failover"
           [ ("down", Trace.S host); ("replica", Trace.S replica) ];
         drive ~hops ~visited:(host :: visited) replica
@@ -1702,7 +1688,7 @@ and batch_call session env ~host
   let txn = Option.map (fun c -> c.txn_id) session.txn in
   List.iter (fun _ -> Stats.incr_call ~peer:host stats) items;
   let req_text =
-    ser_traced session "batch request" (fun () ->
+    accounted session Stats.Serialize "batch request" (fun () ->
         let buf = Buffer.create 1024 in
         Buffer.add_string buf "<batch";
         Message.buf_attr buf "caller" (Peer.name session.self);
@@ -1722,7 +1708,8 @@ and batch_call session env ~host
         Buffer.add_string buf "</batch>";
         Message.envelope (Buffer.contents buf))
   in
-  Stats.add_batch stats ~calls:n;
+  Stats.incr stats Stats.batch_envelopes;
+  Stats.incr ~by:n stats Stats.batch_calls;
   record session (`Request req_text);
   match exchange session ~host ?hdr_span:bsp req_text with
   | Some reply -> shred_batch_response session ~ep ~host ~calls:n reply
@@ -1745,28 +1732,30 @@ and run_group session (units : (Env.t * Ast.expr) list) : Value.t list =
   traced session ~cat:"sched" (Printf.sprintf "overlap (%d calls)" n)
   @@ fun gsp ->
   Trace.add_attr gsp "calls" (Trace.I n);
-  let t0 = Stats.network_s stats in
+  let t0 = sim_now session in
   let deltas = ref [] in
   let maxd () = List.fold_left Float.max 0. !deltas in
   (* each wire unit restarts the clock at the group's start; the group
      finishes when its longest unit does *)
   let unit f =
-    Stats.set_network_s stats t0;
+    Stats.set stats Stats.network_s t0;
     match f () with
     | v ->
-      deltas := (Stats.network_s stats -. t0) :: !deltas;
+      deltas := (sim_now session -. t0) :: !deltas;
       v
     | exception e ->
       (* settle the clock before the failure propagates: everything that
          ran (including the failed member) overlapped *)
-      deltas := (Stats.network_s stats -. t0) :: !deltas;
-      Stats.set_network_s stats (t0 +. maxd ());
+      deltas := (sim_now session -. t0) :: !deltas;
+      Stats.set stats Stats.network_s (t0 +. maxd ());
       raise e
   in
   let finish vs =
     let sum = List.fold_left ( +. ) 0. !deltas and m = maxd () in
-    Stats.set_network_s stats (t0 +. m);
-    Stats.add_sched_group stats ~overlapped:n ~saved_s:(sum -. m);
+    Stats.set stats Stats.network_s (t0 +. m);
+    Stats.incr stats Stats.sched_groups;
+    Stats.incr ~by:n stats Stats.sched_overlapped;
+    Stats.add stats Stats.sched_saved_s (sum -. m);
     vs
   in
   if
@@ -1968,7 +1957,7 @@ and apply_updates session (env : Env.t) =
 (* Read a control-message reply: an ack, a retryable condition, or a
    fatal typed exception. *)
 let parse_txn_response session ~host text =
-  shred_traced session "ack" (fun () ->
+  accounted session Stats.Shred "ack" (fun () ->
       match
         let ack, _ =
           read_reply session ~host ~what:"ack" ~expect:[ "txn-ack" ] text
@@ -1996,7 +1985,7 @@ let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
      send *)
   let deadline = remaining_budget session in
   let req_text =
-    ser_traced session "control" (fun () ->
+    accounted session Stats.Serialize "control" (fun () ->
         Message.write_txn_control ?epoch ?deadline ~action ~txn ())
   in
   record session (`Request req_text);
@@ -2102,7 +2091,7 @@ let commit_txn session (env : Env.t) (c : coord) =
     match failure with
     | None -> (
       Journal.append j (Journal.Decided { txn });
-      Stats.incr_txn_commits stats;
+      Stats.incr stats Stats.txn_commits;
       Trace.add_attr tsp "decision" (Trace.S "commit");
       commit_local session txn;
       match
@@ -2112,7 +2101,7 @@ let commit_txn session (env : Env.t) (c : coord) =
       | None -> Journal.append j (Journal.Resolved { txn })
       | Some e -> raise e)
     | Some e ->
-      Stats.incr_txn_aborts stats;
+      Stats.incr stats Stats.txn_aborts;
       Trace.add_attr tsp "decision" (Trace.S "abort");
       Journal.abort j ~txn;
       (* journaling the resolution of an abort is an optimization, not a
@@ -2172,7 +2161,7 @@ let execute_txn session (q : Ast.query) =
            presumed abort already guarantees no participant will apply;
            eagerly release staged state where the wire allows *)
         if c.participants <> [] then begin
-          Stats.incr_txn_aborts session.net.Network.stats;
+          Stats.incr session.net.Network.stats Stats.txn_aborts;
           (* participants know this id now: journal it, so that a
              reopened journal never hands it out again *)
           Journal.abort (journal session) ~txn:c.txn_id;

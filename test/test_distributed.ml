@@ -227,7 +227,7 @@ let test_execute_at_self () =
   let v = Xd_xrpc.Session.execute session q in
   check_string "self call" "<x>5</x>" (V.serialize v);
   check_int "no messages" 0
-    (Xd_xrpc.Stats.messages net.Xd_xrpc.Network.stats)
+    Xd_xrpc.Stats.(count net.Xd_xrpc.Network.stats messages)
 
 (* a computed host expression *)
 let test_computed_host () =
@@ -373,7 +373,7 @@ let test_bulk_saves_bytes () =
     in
     Xd_xrpc.Stats.reset net.Xd_xrpc.Network.stats;
     let _ = Xd_xrpc.Session.execute session q in
-    Xd_xrpc.Stats.message_bytes net.Xd_xrpc.Network.stats
+    Xd_xrpc.Stats.(count net.Xd_xrpc.Network.stats message_bytes)
   in
   let with_bulk = bytes true in
   let without = bytes false in

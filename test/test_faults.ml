@@ -141,15 +141,16 @@ let prop_no_silent_divergence strategy =
 let stats_tuple net =
   let st = net.Xd_xrpc.Network.stats in
   let module St = Xd_xrpc.Stats in
-  ( St.messages st,
-    St.message_bytes st,
-    St.documents_fetched st,
-    St.document_bytes st,
-    St.faults st,
-    St.timeouts st,
-    St.retries st,
-    St.fallbacks st,
-    St.dedup_hits st )
+  let c = St.count st in
+  ( c St.messages,
+    c St.message_bytes,
+    c St.documents,
+    c St.document_bytes,
+    c St.faults,
+    c St.timeouts,
+    c St.retries,
+    c St.fallbacks,
+    c St.dedup_hits )
 
 let prop_deterministic =
   qtest ~count:150 "same spec+seed => identical faults, stats and outcome"

@@ -177,6 +177,27 @@ let test_constructed_navigation () =
     (run {|let $bc := (<a><b><c/></b></a>)/b return string(count($bc/parent::a))|});
   check_string "value" "<b><c/></b>" (run {|(<a><b><c/></b></a>)/b|})
 
+(* A constructed node has no parent, and fn:root and the reverse axes
+   stop at it; a node inside a constructed tree keeps its parent. *)
+let test_constructed_parentless () =
+  List.iter
+    (fun (q, want) -> check_string q want (run q))
+    [
+      ({|count(<y/>/parent::node())|}, "0");
+      ({|count(text {"t"}/parent::node())|}, "0");
+      ({|count(<y/>/ancestor::node())|}, "0");
+      ({|count(root(<y/>)/child::y)|}, "0");
+      ({|let $y := <y/> return root($y) is $y|}, "true");
+      ({|count(attribute a {"1"}/parent::node())|}, "0");
+      ({|name(attribute a {"1"}/parent::node())|}, "");
+      ({|let $a := attribute a {"1"} return root($a) is $a|}, "true");
+      ({|count(<a><b/><c/></a>/child::c/preceding::node())|}, "1");
+      ({|count(<a><b/><c/></a>/child::c/ancestor-or-self::node())|}, "2");
+      ({|count(<a x="1"/>/attribute::x/parent::node())|}, "1");
+      ({|count(document { <y/> }/child::y/parent::node())|}, "1");
+      ({|count(<a><y/></a>/child::y/parent::node())|}, "1");
+    ]
+
 (* ---- typeswitch ------------------------------------------------------------ *)
 
 let test_typeswitch () =
@@ -883,6 +904,7 @@ let () =
           tc "computed" test_computed_constructors;
           tc "identity" test_constructor_identity;
           tc "navigation" test_constructed_navigation;
+          tc "parentless" test_constructed_parentless;
         ] );
       ("typeswitch", [ tc "cases" test_typeswitch ]);
       ( "functions",

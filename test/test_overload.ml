@@ -153,9 +153,10 @@ let breaker_run calls =
   let stats = net.Xd_xrpc.Network.stats in
   ( v,
     List.map (fun r -> r.Xd_xrpc.Session.text) (List.rev !record),
-    ( Xd_xrpc.Stats.breaker_opens stats,
-      Xd_xrpc.Stats.breaker_shed stats,
-      Xd_xrpc.Stats.ov_admitted stats ) )
+    Xd_xrpc.Stats.
+      ( count stats breaker_opens,
+        count stats breaker_shed,
+        count stats ov_admitted ) )
 
 let prop_breaker_deterministic =
   qtest ~count:250 "breaker schedule replays exactly"
@@ -200,7 +201,7 @@ let shedding_goodput ~shedding ~load ~requests =
   let ok = ref 0 in
   for i = 0 to requests - 1 do
     let arrival = float_of_int i /. rate in
-    Xd_xrpc.Stats.set_network_s stats arrival;
+    Xd_xrpc.Stats.(set stats network_s arrival);
     let session =
       Xd_xrpc.Session.create
         ?deadline:(if shedding then Some deadline else None)
@@ -208,7 +209,8 @@ let shedding_goodput ~shedding ~load ~requests =
     in
     match Xd_xrpc.Session.execute session plan_q with
     | _ ->
-      if Xd_xrpc.Stats.network_s stats -. arrival <= deadline then incr ok
+      if Xd_xrpc.Stats.(seconds stats network_s) -. arrival <= deadline then
+        incr ok
     | exception M.Xrpc_fault _ -> ()
     | exception M.Xrpc_timeout _ -> ()
   done;

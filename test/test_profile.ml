@@ -83,13 +83,14 @@ let reconciles ?(queue_exact = false) st tr =
   T.dropped tr = 0
   &&
   let tot = P.totals (P.of_spans (T.spans tr)) in
+  let c = St.count st and s = St.seconds st in
   tot.P.bytes = St.total_bytes st
-  && tot.P.calls = St.calls st
-  && tot.P.fallbacks = St.fallbacks st
-  && feq tot.P.serialize_s (St.serialize_s st)
-  && feq tot.P.shred_s (St.shred_s st)
-  && feq tot.P.remote_s (St.remote_exec_s st)
-  && ((not queue_exact) || feq tot.P.queue_wait_s (St.ov_queue_wait_s st))
+  && tot.P.calls = c St.calls
+  && tot.P.fallbacks = c St.fallbacks
+  && feq tot.P.serialize_s (s St.serialize_s)
+  && feq tot.P.shred_s (s St.shred_s)
+  && feq tot.P.remote_s (s St.remote_exec_s)
+  && ((not queue_exact) || feq tot.P.queue_wait_s (s St.ov_queue_wait_s))
 
 let prop_reconcile_faults =
   qtest ~count:300 "per-vertex actuals sum to Stats totals under faults"

@@ -335,7 +335,8 @@ let prop_epoch_abort_untouched =
       | _ -> false (* the epoch moved under the transaction: must abort *)
       | exception M.Xrpc_fault { code = M.Txn_aborted; _ } ->
         store_snapshot stores = before
-        && Xd_xrpc.Stats.topo_epoch_aborts net.Xd_xrpc.Network.stats >= 1)
+        && Xd_xrpc.Stats.(count net.Xd_xrpc.Network.stats topo_epoch_aborts)
+           >= 1)
 
 let test_commit_without_churn () =
   (* control: the same transaction with a quiet catalog commits both *)

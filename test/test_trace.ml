@@ -63,12 +63,13 @@ let run ?(traced = false) ?fault_seed q =
    runs and are covered by the reconciliation property instead. *)
 let wire_stats st =
   let module St = Xd_xrpc.Stats in
-  ( (St.messages st, St.message_bytes st),
-    (St.documents_fetched st, St.document_bytes st),
-    St.network_s st,
-    (St.faults st, St.timeouts st, St.retries st, St.fallbacks st),
-    (St.dedup_hits st, St.dedup_evictions st),
-    (St.txn_staged st, St.txn_commits st, St.txn_aborts st) )
+  let c = St.count st in
+  ( (c St.messages, c St.message_bytes),
+    (c St.documents, c St.document_bytes),
+    St.seconds st St.network_s,
+    (c St.faults, c St.timeouts, c St.retries, c St.fallbacks),
+    (c St.dedup_hits, c St.dedup_evictions),
+    (c St.txn_staged, c St.txn_commits, c St.txn_aborts) )
 
 (* ---- (a) well-formed span trees -------------------------------------- *)
 
@@ -168,12 +169,82 @@ let prop_durations_reconcile =
       let close span_sum bucket =
         span_sum >= bucket -. 1e-9 && span_sum -. bucket <= 0.05
       in
-      close (sum "serialize") (St.serialize_s st)
-      && close (sum "shred") (St.shred_s st))
+      close (sum "serialize") (St.seconds st St.serialize_s)
+      && close (sum "shred") (St.seconds st St.shred_s))
+
+(* ---- (d) the declared Stats metrics ---------------------------------- *)
+
+module St = Xd_xrpc.Stats
+module M = Xd_obs.Metrics
+
+let declared mode =
+  List.filter_map (fun (n, m) -> if m = mode then Some n else None)
+    (St.declared ())
+
+let test_names_unique () =
+  let names = List.map fst (St.declared ()) in
+  check_int "no name declared twice" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  (* create registers the eager metrics and the histograms, nothing else *)
+  let hists =
+    [ "hist.message_bytes"; "hist.remote_exec_s"; "hist.serialize_s";
+      "hist.shred_s" ]
+  in
+  Alcotest.(check (list string))
+    "create registers exactly the eager metrics"
+    (List.sort compare (declared `Eager @ hists))
+    (M.names (St.registry (St.create ())))
+
+let test_reads_never_register () =
+  let st = St.create () in
+  let before = M.names (St.registry st) in
+  check_int "an unwritten lazy counter reads 0" 0
+    (St.count st St.codec_decodes);
+  check_bool "an unwritten lazy gauge reads 0"
+    (St.seconds st St.ov_queue_wait_s = 0.);
+  Alcotest.(check (list string))
+    "reads register nothing" before
+    (M.names (St.registry st));
+  (* a run reads every declared metric into its timing record *)
+  let net, client = make_net () in
+  let q =
+    Xd_lang.Parser.parse_query
+      {|count(doc("xrpc://peerA/students.xml")//student)|}
+  in
+  ignore (E.run ~codec:false net ~client S.By_projection q);
+  let names = M.names (St.registry net.Xd_xrpc.Network.stats) in
+  check_bool "a run without features registers no lazy metric"
+    (List.for_all (fun n -> not (List.mem n names)) (declared `Lazy))
+
+let test_lazy_on_first_write () =
+  let st = St.create () in
+  let reg = St.registry st in
+  check_bool "absent before its first write"
+    (not (List.mem "overload.shed" (M.names reg)));
+  St.incr st St.ov_shed;
+  St.add st St.ov_queue_wait_s 0.5;
+  check_bool "present after it"
+    (List.mem "overload.shed" (M.names reg)
+    && List.mem "overload.queue_wait_s" (M.names reg));
+  check_int "counted" 1 (St.count st St.ov_shed);
+  let names = M.names reg in
+  St.reset st;
+  Alcotest.(check (list string)) "reset unregisters nothing" names
+    (M.names reg);
+  check_int "reset zeroes a counter" 0 (St.count st St.ov_shed);
+  check_bool "reset zeroes a gauge" (St.seconds st St.ov_queue_wait_s = 0.);
+  St.incr st St.ov_shed;
+  check_int "the handle survives reset" 1 (St.count st St.ov_shed)
 
 let () =
   Alcotest.run "xd_trace"
     [
+      ( "registry",
+        [
+          tc "declared names are unique" test_names_unique;
+          tc "reads never register" test_reads_never_register;
+          tc "lazy metrics register on first write" test_lazy_on_first_write;
+        ] );
       ( "properties",
         [
           prop_well_formed;

@@ -175,16 +175,17 @@ let prop_atomic_forced =
 let stats_tuple net =
   let st = net.Xd_xrpc.Network.stats in
   let module St = Xd_xrpc.Stats in
-  ( ( St.messages st,
-      St.message_bytes st,
-      St.faults st,
-      St.timeouts st,
-      St.retries st,
-      St.dedup_hits st ),
-    ( St.dedup_evictions st,
-      St.txn_staged st,
-      St.txn_commits st,
-      St.txn_aborts st ) )
+  let c = St.count st in
+  ( ( c St.messages,
+      c St.message_bytes,
+      c St.faults,
+      c St.timeouts,
+      c St.retries,
+      c St.dedup_hits ),
+    ( c St.dedup_evictions,
+      c St.txn_staged,
+      c St.txn_commits,
+      c St.txn_aborts ) )
 
 let prop_deterministic =
   qtest ~count:200

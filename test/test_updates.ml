@@ -191,6 +191,8 @@ let test_mistyped_targets () =
       ({|replace value of node doc("d.xml") with "v"|}, "XUTY0008");
       ({|insert node <y/> before doc("d.xml")|}, "XUDY0029");
       ({|insert node <y/> after doc("d.xml")|}, "XUDY0029");
+      ({|insert node <z/> before <y/>|}, "XUDY0029");
+      ({|insert node <z/> after text {"t"}|}, "XUDY0029");
       ({|insert node <y/> before doc("d.xml")/r/@k|}, "XUTY0006");
       ({|insert node <y/> into doc("d.xml")/r/text()|}, "XUTY0005");
       ({|insert node <y/> into doc("d.xml")/r/comment()|}, "XUTY0005");

@@ -128,9 +128,10 @@ let test_accounting_on_success () =
   let v = exec net client {|execute at {"srv"} function () { string(doc("d.xml")/child::r/child::x) }|} in
   check_string "result" "7" (V.serialize v);
   let st = net.Xd_xrpc.Network.stats in
-  check_int "one exchange" 2 (Xd_xrpc.Stats.messages st);
-  check_bool "bytes counted" (Xd_xrpc.Stats.message_bytes st > 0);
-  check_bool "simulated time positive" (Xd_xrpc.Stats.network_s st > 0.)
+  check_int "one exchange" 2 Xd_xrpc.Stats.(count st messages);
+  check_bool "bytes counted" Xd_xrpc.Stats.(count st message_bytes > 0);
+  check_bool "simulated time positive"
+    Xd_xrpc.Stats.(seconds st network_s > 0.)
 
 let test_empty_results_roundtrip () =
   let net, client, _ = setup () in
