@@ -847,9 +847,9 @@ let write_overload_json ~path rows =
 (* ---- codec: compiled wire-shape codecs — shred/serialize fast paths ------- *)
 
 (* The ablation of the static wire-shape analysis: every workload runs
-   codec-off (generic XML writer + the one message reader,
-   Message.parse) and codec-on (compiled string-builder encoders, flat
-   atomic decoders) on identical fresh networks. The wire must be
+   codec-off (each call compiles its request writer when sent + the one
+   message reader, Message.parse) and codec-on (writers compiled with
+   the plan, flat atomic decoders) on identical fresh networks. The wire must be
    byte-identical and the values deep-equal — the codecs only buy time,
    never bytes. Timing buckets are wall-clock, so each workload is
    iterated and summed; the headline number is the shred speedup on the
@@ -897,8 +897,8 @@ let codec_workloads =
            { data(doc("xrpc://peer1/xmk.xml")/descendant::street
                   | doc("xrpc://peer1/xmk.xml")/descendant::city) })|}
     );
-    (* atomic parameters: the compiled string-builder encoder emits the
-       whole request from precomputed constant segments *)
+    (* atomic parameters: the call site's writer, compiled with the
+       plan, emits the request around precomputed constant segments *)
     ( "atomic args",
       1,
       {|let $n := 40 return
@@ -922,9 +922,9 @@ let codec ~persons () =
         Xd_core.Decompose.plan_of_query S.By_value
           (Xd_lang.Parser.parse_query src)
       in
-      (* parallel off: the overlap scheduler coalesces same-peer calls
-         into batch envelopes, which stay on the generic writer by
-         design — the ablation under test is the per-call codec *)
+      (* parallel off: the overlap scheduler would coalesce same-peer
+         calls into batch envelopes — the ablation under test is the
+         per-call codec *)
       let run codec =
         let setup = make_setup ~persons:(persons * mult) in
         let record = ref [] in

@@ -84,9 +84,9 @@ let effects_arg =
 let shapes_arg =
   let doc =
     "Print the static wire-shape analysis — the fixed envelope layout, \
-     then per call site the inferred parameter and response shapes and \
-     whether a compiled encoder/decoder applies — plus the codec-priced \
-     cost estimate, and exit without executing."
+     then per call site the inferred response shape and whether a \
+     compiled decoder applies beside its compiled request writer — plus \
+     the codec-priced cost estimate, and exit without executing."
   in
   Arg.(value & flag & info [ "shapes" ] ~doc)
 
@@ -100,11 +100,11 @@ let no_parallel_arg =
 
 let no_codec_arg =
   let doc =
-    "Disable the compiled wire-shape codecs: requests with atomic \
-     parameters are written by the generic writer and atomic responses \
-     are read by the one message reader, which reads every other message \
-     either way. The wire is byte-identical either way; this is the \
-     ablation baseline for 'bench codec'."
+    "Disable plan-time codec compilation: each call compiles its request \
+     writer when it is sent instead of with the plan, and atomic \
+     responses are read by the one message reader, which reads every \
+     other message either way. The wire is byte-identical either way; \
+     this is the ablation baseline for 'bench codec'."
   in
   Arg.(value & flag & info [ "no-codec" ] ~doc)
 

@@ -31,10 +31,10 @@ type estimate = {
          within a group, per-peer batched round trips run concurrently,
          so the group costs its most expensive peer, not the sum *)
   codec_saved_bytes : int;
-      (* effective transfer the compiled codecs take off the processing
-         path: bytes moving through a compiled encoder/decoder cost a
-         measured per-byte fraction of generic serialize/parse work. 0
-         unless the caller passed the plan's wire-shape descriptors. *)
+      (* effective transfer the compiled decoders take off the
+         processing path: response bytes moving through one cost a
+         measured per-byte fraction of the generic parse. 0 unless the
+         caller passed the plan's wire-shape descriptors. *)
   per_vertex : (int * int) list;
       (* estimated wire bytes per d-graph vertex (execute-at body id),
          ascending; vertex -1 is the client's own document fetches. The
@@ -54,11 +54,11 @@ let reduction_factor = function
 
 let envelope_overhead = 400 (* bytes per request/response pair *)
 
-(* Per-byte discount for bytes handled by a compiled codec, measured on
-   `bench codec` at --scale 80: the event shredder and string-builder
-   encoders process message bytes several times faster than the generic
-   tree parse / generic writer, worth ~15% of the byte's effective cost
-   on the Fig. 8 breakdown (serialize + shred share of a round trip). *)
+(* Per-byte discount for response bytes read by a compiled decoder,
+   measured on `bench codec` at --scale 80: the flat scan processes
+   message bytes several times faster than the generic tree parse, worth
+   ~15% of the byte's effective cost on the Fig. 8 breakdown (serialize +
+   shred share of a round trip). *)
 let codec_discount = 0.15
 
 (* Serialized sizes, memoised per physical document: a document's arrays
@@ -266,11 +266,11 @@ let estimate ?(typing = true) ?shapes net (plan : Decompose.plan) : estimate =
         0.0 groups
   in
   (* compiled-codec pricing (opt-in): a call site with a compiled
-     decoder moves its response bytes through the specialized reader, a
-     compiled encoder moves the request envelope through the
-     string-builder writer — both at a measured per-byte discount
-     against the generic paths. Without descriptors the estimate is
-     byte-identical to a codec-less build. *)
+     decoder moves its response bytes through the specialized reader at
+     a measured per-byte discount against the generic one. Every call
+     site has the one request writer, so requests price the same either
+     way. Without descriptors the estimate is byte-identical to a
+     codec-less build. *)
   let codec_saved =
     match shapes with
     | None -> 0.0
@@ -278,19 +278,12 @@ let estimate ?(typing = true) ?shapes net (plan : Decompose.plan) : estimate =
       let module Sh = Xd_shape.Shape in
       List.fold_left
         (fun acc (d : Sh.descriptor) ->
-          let resp_b =
-            Option.value ~default:0.0
-              (Hashtbl.find_opt resp_by_body d.Sh.vertex)
-          in
-          let dec =
-            if Sh.decoder_applicable d then codec_discount *. resp_b else 0.0
-          in
-          let enc =
-            if Sh.encoder_applicable d then
-              codec_discount *. float_of_int envelope_overhead
-            else 0.0
-          in
-          acc +. dec +. enc)
+          if Sh.decoder_applicable d then
+            acc
+            +. codec_discount
+               *. Option.value ~default:0.0
+                    (Hashtbl.find_opt resp_by_body d.Sh.vertex)
+          else acc)
         0.0 descriptors
   in
   {

@@ -20,8 +20,8 @@ type estimate = {
       (** effective transfer the compiled wire-shape codecs take off the
           processing path, at a measured per-byte discount
           ({!codec_discount}): response bytes moving through a compiled
-          decoder, request envelopes through a compiled encoder. Zero
-          unless {!estimate} was given the plan's descriptors. *)
+          decoder. Zero unless {!estimate} was given the plan's
+          descriptors. *)
   per_vertex : (int * int) list;
       (** estimated wire bytes per d-graph vertex (execute-at body id),
           ascending; vertex [-1] is the client's own document fetches.
@@ -37,9 +37,9 @@ val reduction_factor : Strategy.t -> float
 val envelope_overhead : int
 
 val codec_discount : float
-(** Per-byte discount for bytes handled by a compiled codec, measured on
-    [bench codec]: the event shredder / string-builder encoder's share
-    of a byte's serialize+shred cost against the generic paths. *)
+(** Per-byte discount for response bytes read by a compiled decoder,
+    measured on [bench codec]: the flat scan's share of a byte's
+    serialize+shred cost against the generic reader. *)
 
 val atom_bytes : int
 (** Average serialized size of one atomic item in an XRPC response. *)
@@ -54,9 +54,9 @@ val estimate :
     size; unbounded atomic bodies cost a small fraction of the document.
     Non-atomic bodies keep the per-strategy {!reduction_factor}.
 
-    [?shapes] (default absent) prices the plan's compiled codecs: call
-    sites whose wire-shape descriptor admits a compiled encoder/decoder
-    are charged {!codec_discount} less per byte they handle, reported in
+    [?shapes] (default absent) prices the plan's compiled decoders: call
+    sites whose wire-shape descriptor admits one are charged
+    {!codec_discount} less per response byte, reported in
     [codec_saved_bytes]. Absent, the estimate is identical to a
     codec-less build ({!estimate_all} / {!choose} never pass it, so
     strategy ranking is unaffected). *)

@@ -42,10 +42,10 @@ type timing = {
   breaker_shed : int; (* calls shed locally by an open breaker *)
   breaker_probes : int; (* half-open probes let through *)
   retry_budget_stops : int; (* retries skipped on a spent budget *)
-  codec_compiled : int; (* requests emitted by a compiled encoder *)
+  codec_compiled : int; (* requests and batch slots by a plan-time writer *)
   codec_decodes : int; (* responses read by a compiled decoder *)
   codec_event_shreds : int; (* subtrees built while their message was read *)
-  codec_bailouts : int; (* compiled attempts that fell back to generic *)
+  codec_bailouts : int; (* compiled decodes that fell back to generic *)
 }
 
 let total_time t =

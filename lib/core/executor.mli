@@ -52,7 +52,8 @@ type timing = {
   retry_budget_stops : int;
       (** retries skipped because the shared per-query pool was spent *)
   codec_compiled : int;
-      (** requests emitted by a compiled wire-shape encoder *)
+      (** requests and batch slots written by a call site's writer
+          compiled with the plan *)
   codec_decodes : int;
       (** responses read by a compiled atomic-response decoder *)
   codec_event_shreds : int;
@@ -60,7 +61,7 @@ type timing = {
           while their message was read ({!Xd_xrpc.Message.parse}); counted
           with or without a codec *)
   codec_bailouts : int;
-      (** compiled-codec attempts that fell back to the generic path *)
+      (** responses a compiled decoder did not match, read generically *)
 }
 
 val total_time : timing -> float
@@ -150,14 +151,15 @@ val run_plan :
     [~parallel:false] reproduces the sequential baseline exactly.
 
     [codec] (default true) runs the wire-shape analysis
-    ({!Xd_shape.Shape.analyze}) over the plan, compiles per-call-site
-    request encoders and atomic-response decoders from the descriptors
+    ({!Xd_shape.Shape.analyze}) over the plan, compiles every call
+    site's request writer and the decoders of provably-atomic responses
     ({!Xd_xrpc.Codec.compile}), has the verifier re-derive and vet every
-    descriptor, and installs the codecs in the session. The wire stays
-    byte-identical either way — compiled paths are strict
-    specializations with generic fallback — so [~codec:false] is the
-    ablation baseline for [bench codec]. Every message is read the same
-    way with or without a codec ({!Xd_xrpc.Message.parse}).
+    descriptor, and installs the codecs in the session. [~codec:false]
+    drops only this plan-time compilation and the decoders: each call
+    then compiles its writer when it is sent, with the same function, so
+    the wire is byte-identical either way and [~codec:false] is the
+    ablation baseline for [bench codec]. A response no decoder takes is
+    read by {!Xd_xrpc.Message.parse}, with or without a codec.
 
     The prelude — overlap schedule, compiled codec, verifier report —
     is memoised on the physical plan, under the client's name,

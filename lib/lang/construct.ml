@@ -55,10 +55,11 @@ let add_content b content =
 
 (* A constructed node is parentless: the top node of its fresh document
    has its parent link cut (Node.parent, Node.root). *)
-let parentless store b =
-  let d = X.Doc.Builder.finish b in
+let cut_parent d =
   if X.Doc.n_nodes d > 1 then d.X.Doc.parent.(1) <- -1;
-  X.Store.add store d
+  d
+
+let parentless store b = X.Store.add store (cut_parent (X.Doc.Builder.finish b))
 
 let element store name (items : Value.t) =
   let attrs, content = split_content items in

@@ -1,18 +1,18 @@
 (* Static wire-shape inference.
 
    A monotone analysis over the decomposed plan that infers, per
-   execute-at call site, a *wire-shape descriptor*: the shape each
-   parameter takes on the wire (a run of <atomic> values when the
-   {!Xd_types.Stype} lattice proves the parameter atomic, the full
-   fragment grammar otherwise) and the shape of the response (from the
-   body's inferred type). The fixpoint over user-defined functions is
-   inherited from {!Xd_types.Infer}; anything the lattice cannot prove
-   atomic is ⊤ ("dynamic"), the safe escape hatch — a dynamic shape
-   just keeps the generic codec.
+   execute-at call site, a *wire-shape descriptor*: where the call goes
+   and the shape of its response (from the body's inferred type) — a
+   run of <atomic> values when the {!Xd_types.Stype} lattice proves it
+   atomic, the full fragment grammar otherwise. The fixpoint over
+   user-defined functions is inherited from {!Xd_types.Infer}; anything
+   the lattice cannot prove atomic is ⊤ ("dynamic"), the safe escape
+   hatch — a dynamic response just keeps the generic reader.
 
    The descriptors drive the XRPC codec generator (Xd_xrpc.Codec),
-   which compiles per-call-site encoder/decoder closures with
-   precomputed constant segments. The verifier re-derives every
+   which compiles every call site's request writer and, for an atomic
+   response, a decoder with precomputed constant segments. The verifier
+   re-derives every
    descriptor with a second, independent run of this analysis and
    rejects plans whose compiled shapes disagree — codegen never trusts
    a descriptor that only one derivation produced.
@@ -28,20 +28,12 @@ module Ast = Xd_lang.Ast
 module Stype = Xd_types.Stype
 module Infer = Xd_types.Infer
 
-type param_shape =
-  | P_atomic of Stype.t
-      (** provably atomic: marshaled as a run of [<atomic>] values —
-          nothing for a message copy to damage, no fragments, no
-          projection paths *)
-  | P_dynamic  (** ⊤ — may carry nodes; full fragment grammar *)
-
 type resp_shape = R_atomic of Stype.t | R_dynamic
 
 type descriptor = {
   vertex : int;  (** the remote body's vertex id (the call-site key) *)
   exec : int;  (** the execute-at vertex itself *)
   host : string option;  (** literal target host; [None] = computed *)
-  params : (Ast.var * param_shape) list;  (** in declaration order *)
   resp : resp_shape;
 }
 
@@ -49,12 +41,6 @@ type result = {
   descriptors : descriptor list;  (** in plan traversal order *)
   by_vertex : (int, descriptor) Hashtbl.t;  (** keyed by body vertex *)
 }
-
-let param_shape_equal a b =
-  match (a, b) with
-  | P_atomic x, P_atomic y -> Stype.equal x y
-  | P_dynamic, P_dynamic -> true
-  | _ -> false
 
 let resp_shape_equal a b =
   match (a, b) with
@@ -64,19 +50,9 @@ let resp_shape_equal a b =
 
 let descriptor_equal a b =
   a.vertex = b.vertex && a.exec = b.exec && a.host = b.host
-  && (try List.for_all2
-            (fun (v1, s1) (v2, s2) -> v1 = v2 && param_shape_equal s1 s2)
-            a.params b.params
-      with Invalid_argument _ -> false)
   && resp_shape_equal a.resp b.resp
 
-(* A compiled encoder needs every parameter atomic (then the fragments
-   section is the constant <fragments></fragments> under every passing
-   strategy); a compiled decoder needs the response atomic. *)
-let encoder_applicable d =
-  List.for_all (fun (_, s) -> match s with P_atomic _ -> true | P_dynamic -> false)
-    d.params
-
+(* A compiled decoder needs the response atomic. *)
 let decoder_applicable d =
   match d.resp with R_atomic _ -> true | R_dynamic -> false
 
@@ -84,11 +60,6 @@ let analyze (q : Ast.query) : result =
   let res = Infer.infer_query q in
   let by_vertex = Hashtbl.create 16 in
   let acc = ref [] in
-  let shape_of_param e =
-    match Infer.type_of res e with
-    | Some t when Stype.is_atomic t -> P_atomic t
-    | _ -> P_dynamic
-  in
   let rec walk (e : Ast.expr) =
     (match e.Ast.desc with
     | Ast.Execute_at x ->
@@ -97,15 +68,12 @@ let analyze (q : Ast.query) : result =
         | Ast.Literal (Ast.A_string h) -> Some h
         | _ -> None
       in
-      let params =
-        List.map (fun (v, pe) -> (v, shape_of_param pe)) x.Ast.params
-      in
       let resp =
         match Infer.type_of_vertex res x.Ast.body.Ast.id with
         | Some t when Stype.is_atomic t -> R_atomic t
         | _ -> R_dynamic
       in
-      let d = { vertex = x.Ast.body.Ast.id; exec = e.Ast.id; host; params; resp } in
+      let d = { vertex = x.Ast.body.Ast.id; exec = e.Ast.id; host; resp } in
       if not (Hashtbl.mem by_vertex d.vertex) then begin
         Hashtbl.replace by_vertex d.vertex d;
         acc := d :: !acc
@@ -117,21 +85,13 @@ let analyze (q : Ast.query) : result =
   List.iter (fun f -> walk f.Ast.f_body) q.Ast.funcs;
   { descriptors = List.rev !acc; by_vertex }
 
-let param_shape_to_string = function
-  | P_atomic t -> "atomic " ^ Stype.to_string t
-  | P_dynamic -> "dynamic"
-
 let resp_shape_to_string = function
   | R_atomic t -> "atomic " ^ Stype.to_string t
   | R_dynamic -> "dynamic"
 
 let pp_dump fmt (r : result) =
-  let compiled =
-    List.length
-      (List.filter (fun d -> encoder_applicable d || decoder_applicable d)
-         r.descriptors)
-  in
-  Fmt.pf fmt "wire shapes: %d call site%s, %d with a compiled codec@."
+  let compiled = List.length (List.filter decoder_applicable r.descriptors) in
+  Fmt.pf fmt "wire shapes: %d call site%s, %d with a compiled decoder@."
     (List.length r.descriptors)
     (if List.length r.descriptors = 1 then "" else "s")
     compiled;
@@ -144,16 +104,8 @@ let pp_dump fmt (r : result) =
       Fmt.pf fmt "v%d @@ %s (execute-at v%d)@." d.vertex
         (match d.host with Some h -> h | None -> "<computed>")
         d.exec;
-      List.iter
-        (fun (v, s) ->
-          Fmt.pf fmt "  param $%s : %s@." v (param_shape_to_string s))
-        d.params;
       Fmt.pf fmt "  response : %s@." (resp_shape_to_string d.resp);
-      let enc = encoder_applicable d and dec = decoder_applicable d in
       Fmt.pf fmt "  codec    : %s@."
-        (match (enc, dec) with
-        | true, true -> "compiled encoder + compiled decoder"
-        | true, false -> "compiled encoder, generic decoder"
-        | false, true -> "generic encoder, compiled decoder"
-        | false, false -> "generic"))
+        (if decoder_applicable d then "compiled writer + compiled decoder"
+         else "compiled writer, generic decoder"))
     r.descriptors

@@ -1,26 +1,25 @@
 (** Static wire-shape inference over a decomposed plan.
 
-    Per execute-at call site, infers a {!descriptor}: the wire shape of
-    each parameter and of the response, joined from the
-    {!Xd_types.Stype} lattice (with the function fixpoint inherited
-    from {!Xd_types.Infer}). A shape is either provably atomic — the
+    Per execute-at call site, infers a {!descriptor}: its target and the
+    wire shape of its response, joined from the {!Xd_types.Stype}
+    lattice (with the function fixpoint inherited from
+    {!Xd_types.Infer}). A response shape is either provably atomic — the
     value crosses the wire as a run of [<atomic>] elements with a
     constant [<fragments></fragments>] section under every passing
     strategy — or ⊤ ("dynamic"), the safe escape hatch that keeps the
-    generic codec.
+    generic reader.
 
-    Descriptors drive [Xd_xrpc.Codec]'s per-call-site compiled
-    encoder/decoder closures; the verifier re-derives them with an
-    independent run of {!analyze} and rejects disagreements. *)
+    Descriptors drive [Xd_xrpc.Codec], which compiles every call site's
+    request writer and the decoders of atomic responses; the verifier
+    re-derives them with an independent run of {!analyze} and rejects
+    disagreements. *)
 
-type param_shape = P_atomic of Xd_types.Stype.t | P_dynamic
 type resp_shape = R_atomic of Xd_types.Stype.t | R_dynamic
 
 type descriptor = {
   vertex : int;  (** the remote body's vertex id (the call-site key) *)
   exec : int;  (** the execute-at vertex itself *)
   host : string option;  (** literal target host; [None] = computed *)
-  params : (Xd_lang.Ast.var * param_shape) list;
   resp : resp_shape;
 }
 
@@ -31,19 +30,14 @@ type result = {
 
 val analyze : Xd_lang.Ast.query -> result
 
-val param_shape_equal : param_shape -> param_shape -> bool
 val resp_shape_equal : resp_shape -> resp_shape -> bool
 val descriptor_equal : descriptor -> descriptor -> bool
-
-val encoder_applicable : descriptor -> bool
-(** Every parameter atomic: a specialized request encoder applies. *)
 
 val decoder_applicable : descriptor -> bool
 (** Atomic response: a specialized response decoder applies. *)
 
-val param_shape_to_string : param_shape -> string
 val resp_shape_to_string : resp_shape -> string
 
 val pp_dump : Format.formatter -> result -> unit
 (** The [--shapes] dump: the fixed envelope layout, then every call
-    site with its parameter/response shapes and codec disposition. *)
+    site with its response shape and codec disposition. *)

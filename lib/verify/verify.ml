@@ -109,6 +109,9 @@ let check_shapes (q : Ast.query) (claimed : Xd_shape.Shape.descriptor list) =
   | claimed ->
     let module Sh = Xd_shape.Shape in
     let own = Sh.analyze q in
+    let host (d : Sh.descriptor) =
+      Option.value ~default:"<computed>" d.Sh.host
+    in
     List.filter_map
       (fun (d : Sh.descriptor) ->
         let diag fmt =
@@ -126,19 +129,10 @@ let check_shapes (q : Ast.query) (claimed : Xd_shape.Shape.descriptor list) =
           Some
             (diag
                "wire-shape descriptor for v%d disagrees with the \
-                re-derivation: claimed params [%s] resp %s, derived params \
-                [%s] resp %s"
-               d.Sh.vertex
-               (String.concat "; "
-                  (List.map
-                     (fun (v, s) -> "$" ^ v ^ " : " ^ Sh.param_shape_to_string s)
-                     d.Sh.params))
-               (Sh.resp_shape_to_string d.Sh.resp)
-               (String.concat "; "
-                  (List.map
-                     (fun (v, s) -> "$" ^ v ^ " : " ^ Sh.param_shape_to_string s)
-                     mine.Sh.params))
-               (Sh.resp_shape_to_string mine.Sh.resp))
+                re-derivation: claimed host %s resp %s, derived host %s \
+                resp %s"
+               d.Sh.vertex (host d) (Sh.resp_shape_to_string d.Sh.resp)
+               (host mine) (Sh.resp_shape_to_string mine.Sh.resp))
         | Some _ -> None)
       claimed
 

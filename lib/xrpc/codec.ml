@@ -1,100 +1,40 @@
-(* Compiled per-call-site message codecs, generated from the wire-shape
-   descriptors of Xd_shape.Shape (à la XML::Compile's compileMessage).
+(* Compiled per-call-site message codecs, generated with the plan from
+   the wire-shape descriptors of Xd_shape.Shape (à la XML::Compile's
+   compileMessage):
 
-   Two specializations, both installed in Session *behind* the generic
-   path and both falling back to it — so compiled and generic wires are
-   byte-identical by construction, and any runtime shape the analysis
-   did not predict simply costs one `codec.bailouts` tick:
-
-   - a request encoder for call sites whose parameters are all provably
-     atomic: the message is a handful of precomputed constant segments
-     (envelope, attribute block, escaped query text, projection paths,
-     the constant <fragments></fragments>) around the dynamic atom
-     values and per-call envelope attributes (request-id, txn, epoch,
-     deadline — emitted with the same fixed-width formatting as the
-     generic writer);
+   - one request writer per call site (Message.compile_request): the
+     one writer of <request>, here compiled once with the plan instead
+     of once per call;
 
    - a response decoder for call sites whose response is provably
      atomic: an exact prefix/suffix match around a flat scan of
      <atomic> items. It accepts a strict subset of what the generic
      reader (Message.parse) accepts and agrees with it on every accepted
-     byte string — faults, forwards, txn attributes, trace headers and
-     corruption all miss the prefix and fall back. *)
+     byte string — faults, forwards, trace headers and corruption all
+     miss the prefix and fall back (a codec.bailouts tick). *)
 
 module Value = Xd_lang.Value
 module Ast = Xd_lang.Ast
 module Shape = Xd_shape.Shape
 
-(* ---------------- envelope constants ---------------------------------- *)
-
-let env_open, env_close =
-  let s = Message.envelope "\x00" in
-  match String.index_opt s '\x00' with
-  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-  | None -> invalid_arg "Codec: envelope probe"
-
-(* ---------------- compiled request encoders --------------------------- *)
-
-type compiled_call = {
-  cc_vertex : int;
-  cc_caller : string;
-      (** the session the encoder was compiled for — insurance against a
-          vertex-id collision handing one session another's codec *)
-  cc_head : string;  (** [<request passing=".." caller=".."] *)
-  cc_body : string;
-      (** [<query>..</query>] + optional projection paths + the constant
-          [<fragments></fragments>] + [<call>] *)
-  cc_params : (Ast.var * string) list;
-      (** per parameter: name and its [<sequence param="..">] opening *)
-}
-
 type compiled_resp = {
-  rd_vertex : int;
   rd_prefix : string;  (** envelope + response head through [<sequence>] *)
   rd_suffix : string;
 }
 
 type t = {
-  caller : string;
-  calls : (int, compiled_call) Hashtbl.t;
+  writers : (int, Message.request_writer) Hashtbl.t;
   resps : (int, compiled_resp) Hashtbl.t;
   shapes : Shape.result;  (** the descriptors codegen consumed *)
 }
 
 let descriptors c = c.shapes.Shape.descriptors
-let find_call c vertex = Hashtbl.find_opt c.calls vertex
+
+let find_writer c vertex = Hashtbl.find_opt c.writers vertex
+
 let find_resp c vertex = Hashtbl.find_opt c.resps vertex
 
-(* The constant segments come from the same Message pieces the generic
-   writer uses, so the two writers cannot drift apart. *)
-let compile_call ~passing ~caller (x : Ast.execute_at) (d : Shape.descriptor) =
-  let head = Buffer.create 64 in
-  Message.buf_request_head head ~passing ~caller;
-  let body = Buffer.create 256 in
-  Message.buf_query body ~passing x;
-  (* all parameters atomic: no node ever reaches the fragment planner,
-     so the fragments section is this constant under every passing *)
-  Buffer.add_string body "<fragments></fragments>";
-  Buffer.add_string body "<call>";
-  let params =
-    List.map
-      (fun (v, _) ->
-        let b = Buffer.create 24 in
-        Buffer.add_string b "<sequence";
-        Message.buf_attr b "param" v;
-        Buffer.add_char b '>';
-        (v, Buffer.contents b))
-      x.Ast.params
-  in
-  {
-    cc_vertex = d.Shape.vertex;
-    cc_caller = caller;
-    cc_head = Buffer.contents head;
-    cc_body = Buffer.contents body;
-    cc_params = params;
-  }
-
-let compile_resp ~passing (x : Ast.execute_at) (d : Shape.descriptor) =
+let compile_resp ~passing (x : Ast.execute_at) =
   (* a by-projection request without projection paths is answered with
      by-fragment semantics, and the response says so (see Session's
      server side) — result_paths is static, so the demotion is too *)
@@ -105,14 +45,13 @@ let compile_resp ~passing (x : Ast.execute_at) (d : Shape.descriptor) =
     | p -> p
   in
   let b = Buffer.create 96 in
-  Buffer.add_string b env_open;
+  Buffer.add_string b Message.env_open;
   Buffer.add_string b "<response";
   Message.buf_attr b "passing" (Message.passing_to_string resp_passing);
   Buffer.add_string b "><fragments></fragments><sequence>";
   {
-    rd_vertex = d.Shape.vertex;
     rd_prefix = Buffer.contents b;
-    rd_suffix = "</sequence></response>" ^ env_close;
+    rd_suffix = "</sequence></response>" ^ Message.env_close;
   }
 
 let compile ~passing ~caller (shapes : Shape.result) (q : Ast.query) : t =
@@ -126,56 +65,18 @@ let compile ~passing ~caller (shapes : Shape.result) (q : Ast.query) : t =
   in
   walk q.Ast.body;
   List.iter (fun f -> walk f.Ast.f_body) q.Ast.funcs;
-  let calls = Hashtbl.create 8 and resps = Hashtbl.create 8 in
+  let writers = Hashtbl.create 8 and resps = Hashtbl.create 8 in
   List.iter
     (fun (d : Shape.descriptor) ->
       match Hashtbl.find_opt execs d.Shape.exec with
       | None -> ()
       | Some x ->
-        if Shape.encoder_applicable d then
-          Hashtbl.replace calls d.Shape.vertex (compile_call ~passing ~caller x d);
+        Hashtbl.replace writers d.Shape.vertex
+          (Message.compile_request ~passing ~caller x);
         if Shape.decoder_applicable d then
-          Hashtbl.replace resps d.Shape.vertex (compile_resp ~passing x d))
+          Hashtbl.replace resps d.Shape.vertex (compile_resp ~passing x))
     shapes.Shape.descriptors;
-  { caller; calls; resps; shapes }
-
-(* Atom runs per parameter, or None on any shape mismatch (node item,
-   parameter list drift) — the caller then takes the generic path. *)
-let rec atom_args (args : (Ast.var * Value.t) list) params =
-  match (args, params) with
-  | [], [] -> Some []
-  | (v, value) :: ar, (pv, popen) :: pr when String.equal v pv -> (
-    let rec atoms = function
-      | [] -> Some []
-      | Value.A a :: tl -> Option.map (fun r -> a :: r) (atoms tl)
-      | Value.N _ :: _ -> None
-    in
-    match (atoms value, atom_args ar pr) with
-    | Some aa, Some rest -> Some ((popen, aa) :: rest)
-    | _ -> None)
-  | _ -> None
-
-let encode_request cc ~caller ?req_id ?txn ?epoch ?deadline args =
-  if not (String.equal caller cc.cc_caller) then None
-  else
-  match atom_args args cc.cc_params with
-  | None -> None
-  | Some groups ->
-    let buf = Buffer.create (512 + String.length cc.cc_body) in
-    Buffer.add_string buf env_open;
-    Buffer.add_string buf cc.cc_head;
-    Message.buf_call_attrs buf ?req_id ?txn ?epoch ?deadline ();
-    Buffer.add_string buf Message.request_attrs_tail;
-    Buffer.add_string buf cc.cc_body;
-    List.iter
-      (fun (popen, atoms) ->
-        Buffer.add_string buf popen;
-        List.iter (Message.write_atom buf) atoms;
-        Buffer.add_string buf "</sequence>")
-      groups;
-    Buffer.add_string buf "</call></request>";
-    Buffer.add_string buf env_close;
-    Some (Buffer.contents buf)
+  { writers; resps; shapes }
 
 (* ---------------- compiled response decoder --------------------------- *)
 

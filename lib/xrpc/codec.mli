@@ -1,10 +1,15 @@
-(** Compiled per-call-site message codecs, generated from
+(** Compiled per-call-site message codecs, generated with the plan from
     {!Xd_shape.Shape} wire-shape descriptors (PROTOCOL.md, "Compiled
-    codecs").
+    codecs"): every call site's request writer, and a response decoder
+    for each call site whose response is provably atomic.
 
-    Every compiled path is a strict specialization of the generic one:
-    it either produces/accepts byte-identical wire content or returns
-    [None] and the caller falls back (counted in [codec.bailouts]). *)
+    The writer is the one writer of [<request>] ({!Message.write_request});
+    a call without a compiled one builds it when it is sent, with the
+    same function, so the wire does not depend on the codec. The decoder
+    is a strict specialization of the one message reader: it either
+    accepts a response and agrees with {!Message.parse} on it, or returns
+    [None] and the caller reads it generically (counted in
+    [codec.bailouts]). *)
 
 type t
 
@@ -14,34 +19,15 @@ val compile :
   Xd_shape.Shape.result ->
   Xd_lang.Ast.query ->
   t
-(** Generate encoder/decoder tables for every descriptor that is
-    {!Xd_shape.Shape.encoder_applicable} / [decoder_applicable]. *)
+(** Compile a request writer for every descriptor's call site and a
+    decoder for every one that is {!Xd_shape.Shape.decoder_applicable}. *)
 
 val descriptors : t -> Xd_shape.Shape.descriptor list
 (** The descriptors codegen consumed — handed to the verifier, which
     re-derives them independently and rejects disagreement. *)
 
-(** {2 Compiled request encoders} *)
-
-type compiled_call
-
-val find_call : t -> int -> compiled_call option
+val find_writer : t -> int -> Message.request_writer option
 (** By call-site key (the remote body's vertex id). *)
-
-val encode_request :
-  compiled_call ->
-  caller:string ->
-  ?req_id:string ->
-  ?txn:string ->
-  ?epoch:int ->
-  ?deadline:float ->
-  (Xd_lang.Ast.var * Xd_lang.Value.t) list ->
-  string option
-(** Emit the full request envelope from precomputed constant segments,
-    or [None] on any runtime shape mismatch (a node item in a supposedly
-    atomic parameter, argument-list drift, wrong session). [deadline] is
-    the already-network-adjusted budget value the generic writer would
-    stamp. *)
 
 (** {2 Compiled response decoder} *)
 
@@ -53,5 +39,5 @@ val decode_response : compiled_resp -> string -> Xd_lang.Value.t option
 (** Exact prefix/suffix match around a flat scan of [<atomic>] items.
     Accepts a strict subset of the language of the generic reader
     ({!Message.parse}) and agrees with it on every accepted string;
-    faults, forwards, txn attributes and trace headers miss the prefix
-    and return [None]. *)
+    faults, forwards and trace headers miss the prefix and return
+    [None]. *)

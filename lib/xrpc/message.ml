@@ -244,9 +244,15 @@ let buf_text buf s =
 (* The SOAP wrapper shared by every message; batch responses embed the
    per-call bodies (responses and faults) side by side inside one
    envelope, so the pieces are built separately. *)
-let envelope body =
+let env_open =
   "<env:Envelope xmlns:env=\"http://www.w3.org/2003/05/soap-envelope\"><env:Body>"
-  ^ body ^ "</env:Body></env:Envelope>"
+
+let env_close = "</env:Body></env:Envelope>"
+let envelope body = env_open ^ body ^ env_close
+
+(* Where a header that belongs to the whole message sits: first in
+   <env:Body>. *)
+let body_at = String.length env_open
 
 (* Deadline and retry-after ride the wire as fixed-width attributes, so
    their byte cost is deterministic and they can be re-stamped in place on
@@ -254,85 +260,57 @@ let envelope body =
    "Deadlines & overload"). Like the <trace> header they are invisible to
    the fault schedule — installing a deadline must not shift which
    messages an existing fault spec hits — but unlike <trace> they ARE
-   billed: the budget is real protocol payload. *)
+   billed: the budget is real protocol payload. Nothing searches for
+   them: a writer reports where it put the deadline, and a top-level
+   fault carries its retry-after at a fixed offset. *)
 
 let deadline_width = 15 (* "00000000.100000" — %015.6f *)
 let deadline_value s = Printf.sprintf "%0*.6f" deadline_width (Float.max 0. s)
 let deadline_marker = " deadline=\""
-let deadline_attr_len = String.length deadline_marker + deadline_width + 1
+
+(* Append the deadline attribute; returns the offset of its value in
+   [buf]. *)
+let buf_deadline buf s =
+  Buffer.add_string buf deadline_marker;
+  let at = Buffer.length buf in
+  Buffer.add_string buf (deadline_value s);
+  Buffer.add_char buf '"';
+  at
+
+type outgoing = { text : string; deadline_at : int option }
+
+(* Re-stamp the deadline value at [at] with the budget remaining now. *)
+let restamp_deadline text ~at remaining =
+  let b = Bytes.of_string text in
+  Bytes.blit_string (deadline_value remaining) 0 b at deadline_width;
+  Bytes.unsafe_to_string b
+
+(* The whole attribute whose value sits at [at]. *)
+let deadline_range at =
+  let mlen = String.length deadline_marker in
+  (at - mlen, mlen + deadline_width + 1)
 
 let retry_after_width = 8 (* "000.0500" — %08.4f *)
 
 let retry_after_value s =
   Printf.sprintf "%0*.4f" retry_after_width (Float.max 0. s)
 
+let fault_open = "<env:Fault"
 let retry_after_marker = " retry-after=\""
+let retry_after_prefix = env_open ^ fault_open ^ retry_after_marker
 
-let buf_deadline buf s =
-  Buffer.add_string buf deadline_marker;
-  Buffer.add_string buf (deadline_value s);
-  Buffer.add_char buf '"'
+let retry_after_range text =
+  if String.starts_with ~prefix:retry_after_prefix text then
+    Some
+      ( body_at + String.length fault_open,
+        String.length retry_after_marker + retry_after_width + 1 )
+  else None
 
-(* The fixed parts of a <request>, shared by the generic writer
-   (Session) and the compiled encoders (Codec): the two must stay
-   byte-identical. *)
-
-let buf_request_head buf ~passing ~caller =
-  Buffer.add_string buf "<request";
-  buf_attr buf "passing" (passing_to_string passing);
-  buf_attr buf "caller" caller
-
-(* The per-call attributes, each stamped only where its feature is in
-   force, so that a wire without the feature is byte-identical to a
-   build without it: [req_id] on a faulty wire; [txn] inside a
-   distributed transaction (the callee stages its PUL under it); [epoch]
-   under dynamic topology (the caller's catalog version when it routed
-   the call); [deadline] when the query carries a budget (re-patched
-   with the remaining budget at each send). *)
-let buf_call_attrs buf ?req_id ?txn ?epoch ?deadline () =
-  (match req_id with Some id -> buf_attr buf "request-id" id | None -> ());
-  (match txn with Some t -> buf_attr buf "txn" t | None -> ());
-  (match epoch with
-  | Some e -> buf_attr buf "epoch" (string_of_int e)
-  | None -> ());
-  match deadline with Some d -> buf_deadline buf d | None -> ()
-
-(* The constant attribute tail that closes every <request> head. *)
-let request_attrs_tail =
-  let buf = Buffer.create 96 in
-  buf_attr buf "static-base-uri" "xdx://static/";
-  buf_attr buf "default-collation" "codepoint";
-  buf_attr buf "current-dateTime" "2009-03-29T00:00:00Z";
-  Buffer.add_char buf '>';
-  Buffer.contents buf
-
-(* The call's body text, and — per the paper, only when the analysis
-   produced result paths for a by-projection call — the
-   <projection-paths> telling the callee how to project its answer;
-   their absence asks for the full (by-fragment-style) format. *)
-let buf_query buf ~passing (x : Ast.execute_at) =
-  Buffer.add_string buf "<query>";
-  buf_text buf (Xd_lang.Pp.expr_to_string x.Ast.body);
-  Buffer.add_string buf "</query>";
-  match passing with
-  | By_projection when x.Ast.result_paths <> ([], []) ->
-    let u, r = x.Ast.result_paths in
-    let paths op cl =
-      List.iter (fun p ->
-          Buffer.add_string buf op;
-          buf_text buf p;
-          Buffer.add_string buf cl)
-    in
-    Buffer.add_string buf "<projection-paths>";
-    paths "<used-path>" "</used-path>" u;
-    paths "<returned-path>" "</returned-path>" r;
-    Buffer.add_string buf "</projection-paths>"
-  | By_value | By_fragment | By_projection -> ()
-
-(* Just the <env:Fault> element (PROTOCOL.md, "Faults"). *)
-let fault_body ?retry_after ~code ~reason () =
+(* The <env:Fault> element (PROTOCOL.md, "Faults"); only a top-level
+   fault carries a retry-after, as its first attribute. *)
+let fault_element ?retry_after ~code ~reason () =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf "<env:Fault";
+  Buffer.add_string buf fault_open;
   (match retry_after with
   | Some s ->
     Buffer.add_string buf retry_after_marker;
@@ -349,9 +327,12 @@ let fault_body ?retry_after ~code ~reason () =
   Buffer.add_string buf "</env:Text></env:Reason></env:Fault>";
   Buffer.contents buf
 
+(* Just the <env:Fault> element, as a batch slot answers. *)
+let fault_body ~code ~reason () = fault_element ~code ~reason ()
+
 (* A complete <env:Fault> response envelope. *)
 let write_fault ?retry_after ~code ~reason () =
-  envelope (fault_body ?retry_after ~code ~reason ())
+  envelope (fault_element ?retry_after ~code ~reason ())
 
 (* ------------------------------------------------------------------ *)
 (* Transaction control envelopes (PROTOCOL.md, "Transactions").        *)
@@ -388,16 +369,18 @@ let txn_ack_of_string = function
    [deadline] rides 2PC control only when the query has a budget — control
    messages consume it like any other hop. *)
 let write_txn_control ?epoch ?deadline ~action ~txn () =
-  let buf = Buffer.create 96 in
+  let buf = Buffer.create 192 in
+  Buffer.add_string buf env_open;
   Buffer.add_char buf '<';
   Buffer.add_string buf (txn_action_to_string action);
   buf_attr buf "txn" txn;
   (match epoch with
   | Some e -> buf_attr buf "epoch" (string_of_int e)
   | None -> ());
-  (match deadline with Some s -> buf_deadline buf s | None -> ());
+  let deadline_at = Option.map (buf_deadline buf) deadline in
   Buffer.add_string buf "/>";
-  envelope (Buffer.contents buf)
+  Buffer.add_string buf env_close;
+  { text = Buffer.contents buf; deadline_at }
 
 let write_txn_ack ~txn ~ack =
   let buf = Buffer.create 64 in
@@ -458,51 +441,36 @@ let write_catalog_ack ~epoch =
 let trace_header ~trace_id ~span_id =
   Printf.sprintf "<trace trace-id=\"%s\" span-id=\"%s\"/>" trace_id span_id
 
-(* [sub] from its index [k] on equals [text] from [i + k] on, compared in
-   place; the caller has checked that [text] is long enough. *)
-let rec matches text i sub k =
-  k = String.length sub || (text.[i + k] = sub.[k] && matches text i sub (k + 1))
-
-(* Does [sub] occur in [text] at [i]? *)
+(* Does [sub] occur in [text] at [i]? Compared in place. *)
 let sub_at text i sub =
-  i >= 0 && i + String.length sub <= String.length text && matches text i sub 0
+  let n = String.length sub in
+  let rec go k = k = n || (text.[i + k] = sub.[k] && go (k + 1)) in
+  i >= 0 && i + n <= String.length text && go 0
 
-(* First index of [sub] in [text] at or after [from]: no allocation per
-   candidate position. *)
-let find_sub ?(from = 0) text sub =
-  let last = String.length text - String.length sub in
-  let rec go i =
-    if i > last then None else if matches text i sub 0 then Some i else go (i + 1)
-  in
-  go (Stdlib.max 0 from)
-
-let body_open = "<env:Body>"
-
+(* The header goes first in <env:Body>; text that is not an envelope
+   ships unmodified, with no header. *)
 let inject_trace_header text ~header =
-  match find_sub text body_open with
-  | None -> (text, 0, 0) (* not an envelope: ship unmodified, no header *)
-  | Some i ->
-    let at = i + String.length body_open in
-    ( String.sub text 0 at ^ header
-      ^ String.sub text at (String.length text - at),
-      at,
+  if String.starts_with ~prefix:env_open text then
+    ( String.sub text 0 body_at ^ header
+      ^ String.sub text body_at (String.length text - body_at),
+      body_at,
       String.length header )
+  else (text, 0, 0)
 
-(* Textual peek, deliberately tolerant: any header we cannot fully
-   decode — absent, cut off by a truncation fault, missing an attribute,
-   or carrying non-hex ids — yields [None] and the call proceeds
-   untraced. A malformed header is never worth a fault. *)
+(* Textual peek at the header's fixed offset, deliberately tolerant: any
+   header we cannot fully decode — absent, cut off by a truncation fault,
+   missing an attribute, or carrying non-hex ids — yields [None] and the
+   call proceeds untraced. A malformed header is never worth a fault. *)
 let peek_trace_header text =
   let quoted_value text from =
     match String.index_from_opt text from '"' with
     | None -> None
     | Some e -> Some (String.sub text from (e - from), e + 1)
   in
-  match find_sub text "<trace trace-id=\"" with
-  | None -> None
-  | Some i -> (
-    let tstart = i + String.length "<trace trace-id=\"" in
-    match quoted_value text tstart with
+  let trace_open = "<trace trace-id=\"" in
+  if not (sub_at text body_at trace_open) then None
+  else
+    match quoted_value text (body_at + String.length trace_open) with
     | None -> None
     | Some (trace_id, after) -> (
       let sep = " span-id=\"" in
@@ -516,63 +484,7 @@ let peek_trace_header text =
             && Xd_obs.Trace.valid_id trace_id
             && Xd_obs.Trace.valid_id span_id
           then Some (trace_id, span_id)
-          else None))
-
-(* ---- deadline & retry-after wire fields (PROTOCOL.md, "Deadlines &
-   overload") ---- *)
-
-(* Re-stamp the (first, i.e. the envelope's own) deadline attribute with
-   the budget remaining *now* — called once per send attempt, after the
-   wire time of this very message has been pre-subtracted, so the value
-   the callee reads is exactly its budget at receipt. Returns the byte
-   range of the whole attribute so the sender can hide it from the fault
-   schedule. *)
-let patch_deadline text ~remaining =
-  match find_sub text deadline_marker with
-  | None -> (text, None)
-  | Some i ->
-    let vstart = i + String.length deadline_marker in
-    if String.length text < vstart + deadline_width + 1 then (text, None)
-    else begin
-      let b = Bytes.of_string text in
-      Bytes.blit_string (deadline_value remaining) 0 b vstart deadline_width;
-      (Bytes.to_string b, Some (i, deadline_attr_len))
-    end
-
-(* Fixed-width attribute value: digits and exactly one dot. *)
-let overload_value_ok text vstart width =
-  String.length text >= vstart + width + 1
-  && text.[vstart + width] = '"'
-  &&
-  let ok = ref true and dots = ref 0 in
-  for k = vstart to vstart + width - 1 do
-    match text.[k] with
-    | '0' .. '9' -> ()
-    | '.' -> incr dots
-    | _ -> ok := false
-  done;
-  !ok && !dots = 1
-
-(* Byte ranges of every deadline / retry-after attribute in [text], sorted
-   by position — the fault schedule must not see these bytes, or turning
-   on deadlines would shift which messages an existing spec hits. Only
-   consulted when the overload layer is active. *)
-let overload_ranges text =
-  let collect marker width acc =
-    let mlen = String.length marker in
-    let rec go from acc =
-      match find_sub ~from text marker with
-      | None -> acc
-      | Some i ->
-        if overload_value_ok text (i + mlen) width then
-          go (i + mlen + width + 1) ((i, mlen + width + 1) :: acc)
-        else go (i + mlen) acc
-    in
-    go 0 acc
-  in
-  collect deadline_marker deadline_width []
-  |> collect retry_after_marker retry_after_width
-  |> List.sort compare
+          else None)
 
 (* The node used for structural shipping: attributes travel with their
    owner element. *)
@@ -811,10 +723,7 @@ let write_ref ep ~host ~frags buf n =
   buf_attr buf "nodeid" (string_of_int nodeid);
   Buffer.add_string buf "/>"
 
-let write_sequence ep ~host ~passing ~frags buf ?param (v : Value.t) =
-  Buffer.add_string buf "<sequence";
-  (match param with Some p -> buf_attr buf "param" p | None -> ());
-  Buffer.add_char buf '>';
+let write_items ep ~host ~passing ~frags buf (v : Value.t) =
   List.iter
     (fun item ->
       match item with
@@ -823,8 +732,193 @@ let write_sequence ep ~host ~passing ~frags buf ?param (v : Value.t) =
         match passing with
         | By_value -> write_copy buf n
         | By_fragment | By_projection -> write_ref ep ~host ~frags buf n))
-    v;
+    v
+
+let write_sequence ep ~host ~passing ~frags buf (v : Value.t) =
+  Buffer.add_string buf "<sequence>";
+  write_items ep ~host ~passing ~frags buf v;
   Buffer.add_string buf "</sequence>"
+
+(* ------------------------------------------------------------------ *)
+(* The request writer.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* One call site's <request>, compiled once. Everything that does not
+   depend on the call is a constant segment: the head, the escaped query
+   text with its projection paths, each parameter's <sequence> opening;
+   the parameters' projection paths are kept parsed for the planner. *)
+type request_writer = {
+  rw_passing : passing;
+  rw_head : string;
+  rw_query : string;
+  rw_params : (Ast.var * string) list;
+  rw_paths :
+    (Ast.var * Xd_projection.Path.t list * Xd_projection.Path.t list) list;
+}
+
+let segment f =
+  let buf = Buffer.create 128 in
+  f buf;
+  Buffer.contents buf
+
+let param_open v =
+  segment (fun buf ->
+      Buffer.add_string buf "<sequence";
+      buf_attr buf "param" v;
+      Buffer.add_char buf '>')
+
+(* The constant attribute tail that closes every <request> head. *)
+let request_attrs_tail =
+  segment (fun buf ->
+      buf_attr buf "static-base-uri" "xdx://static/";
+      buf_attr buf "default-collation" "codepoint";
+      buf_attr buf "current-dateTime" "2009-03-29T00:00:00Z";
+      Buffer.add_char buf '>')
+
+(* The call's body text, and — per the paper, only when the analysis
+   produced result paths for a by-projection call — the
+   <projection-paths> telling the callee how to project its answer;
+   their absence asks for the full (by-fragment-style) format. *)
+let buf_query buf ~passing (x : Ast.execute_at) =
+  Buffer.add_string buf "<query>";
+  buf_text buf (Xd_lang.Pp.expr_to_string x.Ast.body);
+  Buffer.add_string buf "</query>";
+  match passing with
+  | By_projection when x.Ast.result_paths <> ([], []) ->
+    let u, r = x.Ast.result_paths in
+    let paths op cl =
+      List.iter (fun p ->
+          Buffer.add_string buf op;
+          buf_text buf p;
+          Buffer.add_string buf cl)
+    in
+    Buffer.add_string buf "<projection-paths>";
+    paths "<used-path>" "</used-path>" u;
+    paths "<returned-path>" "</returned-path>" r;
+    Buffer.add_string buf "</projection-paths>"
+  | By_value | By_fragment | By_projection -> ()
+
+let compile_request ~passing ~caller (x : Ast.execute_at) =
+  let parse = List.map Xd_projection.Path.of_string in
+  {
+    rw_passing = passing;
+    rw_head =
+      segment (fun buf ->
+          Buffer.add_string buf "<request";
+          buf_attr buf "passing" (passing_to_string passing);
+          buf_attr buf "caller" caller);
+    rw_query = segment (fun buf -> buf_query buf ~passing x);
+    rw_params = List.map (fun (v, _) -> (v, param_open v)) x.Ast.params;
+    rw_paths = List.map (fun (v, u, r) -> (v, parse u, parse r)) x.Ast.param_paths;
+  }
+
+(* Used/returned node sets for the parameters of one call (by-projection).
+   Parameters without projection information conservatively ship their full
+   subtrees (by-fragment behaviour). *)
+let param_node_sets w args =
+  let used = ref [] and returned = ref [] in
+  List.iter
+    (fun (v, value) ->
+      let ctx =
+        List.filter_map
+          (function Value.N n -> Some n | Value.A _ -> None)
+          value
+      in
+      if ctx <> [] then
+        match List.find_opt (fun (pv, _, _) -> pv = v) w.rw_paths with
+        | Some (_, u, r) ->
+          used := ctx @ !used;
+          List.iter
+            (fun p -> used := Xd_projection.Path.eval p ctx @ !used)
+            u;
+          List.iter
+            (fun p -> returned := Xd_projection.Path.eval p ctx @ !returned)
+            r
+        | None -> returned := ctx @ !returned)
+    args;
+  (!used, !returned)
+
+(* What one call adds to its call site's constants. Each attribute is
+   stamped only where its feature is in force, so that a wire without
+   the feature is byte-identical to a build without it: [req_id] on a
+   faulty wire; [txn] inside a distributed transaction (the callee
+   stages its PUL under it); [epoch] under dynamic topology (the
+   caller's catalog version when it routed the call). *)
+type call = {
+  args : (Ast.var * Value.t) list;
+  funcs : Ast.func list option;
+  req_id : string option;
+  txn : string option;
+  epoch : int option;
+}
+
+(* Append one <request> element; returns the offset of the deadline
+   value when one was given. Node parameters go through the fragment
+   planner, every item through the item writer. *)
+let buf_request buf w ep ~host ?schema ?deadline c =
+  Buffer.add_string buf w.rw_head;
+  (match c.req_id with Some id -> buf_attr buf "request-id" id | None -> ());
+  (match c.txn with Some t -> buf_attr buf "txn" t | None -> ());
+  (match c.epoch with
+  | Some e -> buf_attr buf "epoch" (string_of_int e)
+  | None -> ());
+  let deadline_at = Option.map (buf_deadline buf) deadline in
+  Buffer.add_string buf request_attrs_tail;
+  (match c.funcs with
+  | Some funcs ->
+    Buffer.add_string buf "<module>";
+    buf_text buf
+      (String.concat "\n"
+         (List.map (Format.asprintf "%a" Xd_lang.Pp.pp_func) funcs));
+    Buffer.add_string buf "</module>"
+  | None -> ());
+  Buffer.add_string buf w.rw_query;
+  let frags =
+    match w.rw_passing with
+    | By_value -> []
+    | By_fragment ->
+      plan_by_fragment ep ~host (value_nodes (List.map snd c.args))
+    | By_projection ->
+      let used, returned = param_node_sets w c.args in
+      plan_by_projection ?schema ep ~host ~used ~returned
+  in
+  write_fragments buf frags;
+  Buffer.add_string buf "<call>";
+  List.iter
+    (fun (v, value) ->
+      Buffer.add_string buf
+        (match List.assoc_opt v w.rw_params with
+        | Some opening -> opening
+        | None -> param_open v);
+      write_items ep ~host ~passing:w.rw_passing ~frags buf value;
+      Buffer.add_string buf "</sequence>")
+    c.args;
+  Buffer.add_string buf "</call></request>";
+  deadline_at
+
+let write_request w ep ~host ?schema ?deadline c =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf env_open;
+  let deadline_at = buf_request buf w ep ~host ?schema ?deadline c in
+  Buffer.add_string buf env_close;
+  { text = Buffer.contents buf; deadline_at }
+
+(* The envelope is the admission unit: it carries the budget for all its
+   slots, and the slots carry none. *)
+let write_batch ~caller ep ~host ?schema ?deadline slots =
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf env_open;
+  Buffer.add_string buf "<batch";
+  buf_attr buf "caller" caller;
+  buf_attr buf "calls" (string_of_int (List.length slots));
+  let deadline_at = Option.map (buf_deadline buf) deadline in
+  Buffer.add_char buf '>';
+  List.iter
+    (fun (w, c) -> ignore (buf_request buf w ep ~host ?schema c))
+    slots;
+  Buffer.add_string buf "</batch>";
+  Buffer.add_string buf env_close;
+  { text = Buffer.contents buf; deadline_at }
 
 (* ------------------------------------------------------------------ *)
 (* Shredding (receiver side).                                          *)
@@ -1095,7 +1189,11 @@ let shred_item msg ep ~from_host item : Value.t =
     let store = Peer.store ep.self in
     match req_attr item "kind" with
     | "element" ->
-      let doc = X.Store.add ~index_uri:false store (content msg item) in
+      (* a copy is parentless, as a constructed element is *)
+      let doc =
+        X.Store.add ~index_uri:false store
+          (Xd_lang.Construct.cut_parent (content msg item))
+      in
       [ Value.N (X.Node.of_tree doc 1) ]
     | "document" ->
       let doc = X.Store.add ~index_uri:false store (content msg item) in

@@ -83,15 +83,31 @@ val envelope : string -> string
 (** Wrap body content in the SOAP
     [<env:Envelope>]/[<env:Body>] scaffolding shared by every message. *)
 
-val fault_body :
-  ?retry_after:float -> code:fault_code -> reason:string -> unit -> string
+val env_open : string
+(** Everything {!envelope} puts before the body: through [<env:Body>]. *)
+
+val env_close : string
+
+val body_at : int
+(** [String.length env_open]: the offset of the first element in
+    [<env:Body>], where a header that belongs to the whole message sits
+    — the [<trace>] header of a request, the [<env:Fault>] (and its
+    [retry-after]) of a top-level fault. *)
+
+type outgoing = { text : string; deadline_at : int option }
+(** A message its writer built, with the offset of the deadline value
+    it stamped, if any: where a sender re-stamps the remaining budget,
+    with no search of the text. *)
+
+val fault_body : code:fault_code -> reason:string -> unit -> string
 (** Just the [<env:Fault>] element — embedded per-call inside batch
-    responses. [retry_after] stamps the fixed-width server backoff
-    suggestion (overload faults only). *)
+    responses, never with a retry-after. *)
 
 val write_fault :
   ?retry_after:float -> code:fault_code -> reason:string -> unit -> string
-(** A complete [<env:Fault>] response envelope. *)
+(** A complete [<env:Fault>] response envelope. [retry_after] stamps the
+    fixed-width server backoff suggestion (overload faults only) as the
+    fault's first attribute, at a fixed offset ({!retry_after_range}). *)
 
 (** {2 Transaction control} (PROTOCOL.md, "Transactions")
 
@@ -114,7 +130,7 @@ val write_txn_control :
   action:txn_action ->
   txn:string ->
   unit ->
-  string
+  outgoing
 (** [epoch] rides only on [<prepare>] under dynamic topology: a
     participant whose catalog epoch differs votes abort. [deadline]
     rides 2PC control only when the query has a budget. Absent both =
@@ -148,25 +164,28 @@ val write_catalog_ack : epoch:int -> string
 (** {2 Tracing header}
 
     Requests (and 2PC control messages) may carry an optional [<trace>]
-    element as the first child of [<env:Body>], linking server-side
-    spans under the caller's attempt span. The header is telemetry, not
-    protocol: it is excluded from wire accounting ({!Network.send}
-    [~meta]) and a header that cannot be decoded is simply ignored. *)
+    element as the first child of [<env:Body>], at offset {!body_at},
+    linking server-side spans under the caller's attempt span. The
+    header is telemetry, not protocol: it is excluded from wire
+    accounting ({!Network.send} [~meta]) and a header that cannot be
+    decoded is simply ignored. *)
 
 val trace_header : trace_id:string -> span_id:string -> string
 (** [<trace trace-id=".." span-id=".."/>]; ids are 1–32 lowercase hex
     chars ({!Xd_obs.Trace.valid_id}). *)
 
 val inject_trace_header : string -> header:string -> string * int * int
-(** [inject_trace_header text ~header] inserts [header] right after
-    [<env:Body>] and returns [(text', at, len)] — the header's byte
-    range for {!Network.send}'s [~meta]. Text without an envelope body
-    is returned unmodified (with a zero range). *)
+(** [inject_trace_header text ~header] inserts [header] at {!body_at}
+    and returns [(text', at, len)] — the header's byte range for
+    {!Network.send}'s [~meta]; every offset past it moves by [len]. Text
+    that does not start with {!env_open} is returned unmodified (with a
+    zero range). *)
 
 val peek_trace_header : string -> (string * string) option
-(** Textually decode a message's [(trace_id, span_id)]. [None] when the
-    header is absent or malformed (bad hex ids, missing attributes,
-    truncated) — such calls proceed untraced, never faulted. *)
+(** Decode the [(trace_id, span_id)] of the header at {!body_at}.
+    [None] when the header is absent or malformed (bad hex ids, missing
+    attributes, truncated) — such calls proceed untraced, never
+    faulted. *)
 
 val parse_txn_ack : Xd_xml.Node.t -> string * txn_ack
 (** Read a [<txn-ack>] element back into (txn, ack). *)
@@ -189,19 +208,20 @@ val deadline_value : float -> string
 val retry_after_value : float -> string
 (** ["%08.4f"] of the suggested delay, clamped at 0. *)
 
-val buf_deadline : Buffer.t -> float -> unit
-(** Append [ deadline="…"] (fixed width) to a message under
-    construction. *)
+val restamp_deadline : string -> at:int -> float -> string
+(** [restamp_deadline text ~at remaining] writes the budget remaining
+    now over the deadline value at [at] (an {!outgoing}'s
+    [deadline_at]); the length never changes. *)
 
-val patch_deadline : string -> remaining:float -> string * (int * int) option
-(** Re-stamp the message's (first) deadline attribute with the budget
-    remaining now; returns the attribute's byte range for
-    {!Network.send}'s [~hidden]. Identity on messages without one. *)
+val deadline_range : int -> int * int
+(** The byte range of the whole deadline attribute whose value sits at
+    the given offset — billed, but hidden from the fault schedule
+    ({!Network.send}'s [~hidden]). *)
 
-val overload_ranges : string -> (int * int) list
-(** Byte ranges of every fixed-width deadline / retry-after attribute in
-    the message, sorted by position — the fault schedule's blind spots.
-    Only consulted when the overload layer is active. *)
+val retry_after_range : string -> (int * int) option
+(** The byte range of a top-level fault's retry-after attribute, which
+    sits at a fixed offset after [<env:Body>]; [None] for any other
+    message. *)
 
 val parse_deadline : Xd_xml.Node.t -> float option
 (** The [deadline] attribute of a parsed request / batch / 2PC control
@@ -236,28 +256,6 @@ val remote_origin :
 
 val buf_attr : Buffer.t -> string -> string -> unit
 val buf_text : Buffer.t -> string -> unit
-
-(** The fixed parts of a [<request>], shared by the generic writer
-    (Session) and the compiled encoders ({!Codec}), which stay
-    byte-identical: head, per-call attributes, constant attribute tail,
-    then the query. *)
-
-val buf_request_head : Buffer.t -> passing:passing -> caller:string -> unit
-(** [<request passing=".." caller=".."] — left open for the attributes. *)
-
-val buf_call_attrs :
-  Buffer.t -> ?req_id:string -> ?txn:string -> ?epoch:int ->
-  ?deadline:float -> unit -> unit
-(** The per-call attributes, each only when given: [request-id], [txn],
-    [epoch] and the fixed-width [deadline] (the remaining budget). *)
-
-val request_attrs_tail : string
-(** The constant [static-base-uri], [default-collation] and
-    [current-dateTime] attributes, and the [>] closing the head. *)
-
-val buf_query : Buffer.t -> passing:passing -> Xd_lang.Ast.execute_at -> unit
-(** [<query>] with the body's text, then [<projection-paths>] for a
-    by-projection call whose analysis produced result paths. *)
 
 val effective_node : Xd_xml.Node.t -> Xd_xml.Node.t
 (** Attributes travel with their owner element. *)
@@ -301,9 +299,50 @@ val write_sequence :
   passing:passing ->
   frags:frag list ->
   Buffer.t ->
-  ?param:string ->
   Xd_lang.Value.t ->
   unit
+(** A response's [<sequence>] of items. *)
+
+(** {2 The request writer}
+
+    The one writer of [<request>] (PROTOCOL.md, "Compiled codecs"). A
+    call site's writer is compiled once — with the plan, into its
+    {!Codec}, or when the call is sent if there is none — and holds the
+    constant segments: the head, the escaped query text with its
+    projection paths and each parameter's [<sequence>] opening. Node
+    parameters go through the fragment planner above and every item
+    through the item writers, so the fragments a call ships depend only
+    on the endpoint's session state. *)
+
+type request_writer
+
+val compile_request :
+  passing:passing -> caller:string -> Xd_lang.Ast.execute_at ->
+  request_writer
+
+type call = {
+  args : (Xd_lang.Ast.var * Xd_lang.Value.t) list;
+  funcs : Xd_lang.Ast.func list option;
+      (** the caller's module, on its first call to the host *)
+  req_id : string option;  (** on a faulty wire *)
+  txn : string option;  (** inside a distributed transaction *)
+  epoch : int option;  (** under dynamic topology *)
+}
+(** What one call adds to its call site's constants. *)
+
+val write_request :
+  request_writer -> endpoint -> host:string ->
+  ?schema:(string -> string list) -> ?deadline:float -> call -> outgoing
+(** One call's request envelope. [deadline] is the remaining budget
+    (fixed width); its value's offset comes back in [deadline_at]. *)
+
+val write_batch :
+  caller:string -> endpoint -> host:string ->
+  ?schema:(string -> string list) -> ?deadline:float ->
+  (request_writer * call) list -> outgoing
+(** One [<batch>] envelope of [<request>] slots, written in order. The
+    envelope is the admission unit: it carries the deadline, the slots
+    none. *)
 
 (** {2 Reader (shredding)} *)
 

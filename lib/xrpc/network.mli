@@ -90,8 +90,9 @@ val send :
     are computed as if it were absent, so tracing cannot perturb
     accounting or a seeded fault schedule.
 
-    [hidden] lists further sorted disjoint ranges — the fixed-width
-    deadline / retry-after attributes — that {e are} billed but are
-    likewise invisible to the fault layer ({!Message.overload_ranges}),
-    so installing deadlines cannot perturb a seeded fault schedule
-    either. *)
+    [hidden] lists further sorted disjoint ranges — a request's
+    fixed-width deadline attribute, where its writer put it
+    ({!Message.deadline_range}), or a fault reply's retry-after
+    ({!Message.retry_after_range}) — that {e are} billed but are
+    likewise invisible to the fault layer, so installing deadlines
+    cannot perturb a seeded fault schedule either. *)

@@ -75,10 +75,11 @@ type t = {
       (* the retry-after suggestion parsed off the most recent fault
          response; consumed (and cleared) by the next backoff charge *)
   codec : Codec.t option;
-      (* compiled per-call-site codecs from the wire-shape analysis;
-         shared with every server session of the plan (the same handle
-         serves both directions of an exchange). None = generic paths
-         only, wire and registry byte-identical to a codec-less build *)
+      (* the plan's compiled per-call-site codecs (request writers and
+         atomic-response decoders), on the coordinator only: a server
+         session's calls come from bodies it parsed afresh, whose vertex
+         ids no plan knows. None = each call compiles its writer when
+         sent, same wire *)
   tracer : Trace.t option; (* shared across every session of one run *)
   mutable cur : Trace.span option;
       (* the ambient span new spans parent under: the executor's root on
@@ -239,9 +240,6 @@ let deadline_now session =
       let d = sim_now session +. rel in
       session.deadline_at <- Some d;
       Some d)
-
-let deadline_active session =
-  session.deadline_at <> None || session.deadline_rel <> None
 
 (* The budget left now, as an outgoing message stamps it. *)
 let remaining_budget session =
@@ -457,6 +455,30 @@ let read_reply session ~host ~what ~expect text =
         (Printf.sprintf "%s is neither <%s> nor <env:Fault>" what
            (List.hd expect)))
 
+(* The writer of one call's <request>: the call site's, compiled with
+   the plan into the codec, or — without one (no codec, or a server's
+   nested call) — one compiled now by the same function, so the wire is
+   the same either way. *)
+let request_writer session (x : Ast.execute_at) =
+  match
+    Option.bind session.codec (fun c -> Codec.find_writer c x.Ast.body.Ast.id)
+  with
+  | Some w ->
+    Stats.incr session.net.Network.stats Stats.codec_compiled;
+    w
+  | None ->
+    Message.compile_request ~passing:session.passing
+      ~caller:(Peer.name session.self) x
+
+(* The caller's functions ride along on its first call to each host. *)
+let module_for session ~host funcs =
+  match funcs with
+  | [] -> None
+  | _ when Hashtbl.mem session.funcs_shipped host -> None
+  | _ ->
+    Hashtbl.replace session.funcs_shipped host ();
+    Some funcs
+
 (* The server-side session object for calls from [session] to [host]:
    holds the server peer's endpoint (shredded parameters) and supports
    nested outgoing calls from that server. *)
@@ -471,8 +493,8 @@ let rec server_session session host =
       create ?record:session.record ~bulk:session.bulk ?schema:session.schema
         ~depth:(session.depth + 1) ~timeout_s:session.timeout_s
         ~retries:session.retries ~dedup_cap:session.dedup_cap
-        ?retry_budget:session.retry_budget ?codec:session.codec
-        ?tracer:session.tracer session.net peer session.passing
+        ?retry_budget:session.retry_budget ?tracer:session.tracer
+        session.net peer session.passing
     in
     Hashtbl.replace session.remote_sessions host s;
     s
@@ -538,120 +560,6 @@ and resolve_doc session env uri =
    call re-ships its nodes and responses arrive as fresh copies). *)
 and call_endpoint session =
   if session.bulk then session.ep else Message.make_endpoint session.self
-
-(* ---------------- request construction -------------------------------- *)
-
-and parse_suffixes ss = List.map Xd_projection.Path.of_string ss
-
-(* Used/returned node sets for the parameters of one call (by-projection).
-   Parameters without projection information conservatively ship their full
-   subtrees (by-fragment behaviour). *)
-and param_node_sets (x : Ast.execute_at) args =
-  let used = ref [] and returned = ref [] in
-  List.iter
-    (fun (v, value) ->
-      let ctx =
-        List.filter_map
-          (function Value.N n -> Some n | Value.A _ -> None)
-          value
-      in
-      if ctx <> [] then
-        match
-          List.find_opt (fun (pv, _, _) -> pv = v) x.Ast.param_paths
-        with
-        | Some (_, u_strs, r_strs) ->
-          used := ctx @ !used;
-          List.iter
-            (fun p -> used := Xd_projection.Path.eval p ctx @ !used)
-            (parse_suffixes u_strs);
-          List.iter
-            (fun p -> returned := Xd_projection.Path.eval p ctx @ !returned)
-            (parse_suffixes r_strs)
-        | None -> returned := ctx @ !returned)
-    args;
-  (!used, !returned)
-
-(* The inner <request> element of one call — standalone inside its own
-   envelope for a plain call, or stacked with its siblings inside one
-   <batch> envelope by the scheduler. *)
-and request_body session ~ep ~host ?req_id ?txn ?epoch ?(in_batch = false)
-    (x : Ast.execute_at) ~args ~funcs =
-  let buf = Buffer.create 1024 in
-  Message.buf_request_head buf ~passing:session.passing
-    ~caller:(Peer.name session.self);
-  (* the admission unit is the outermost element, so batch slots leave
-     the deadline budget to their envelope *)
-  Message.buf_call_attrs buf ?req_id ?txn ?epoch
-    ?deadline:(if in_batch then None else remaining_budget session)
-    ();
-  Buffer.add_string buf Message.request_attrs_tail;
-  (* ship the module (user function definitions) once per host *)
-  if funcs <> [] && not (Hashtbl.mem session.funcs_shipped host) then begin
-    Hashtbl.replace session.funcs_shipped host ();
-    Buffer.add_string buf "<module>";
-    let text =
-      String.concat "\n" (List.map (Format.asprintf "%a" Xd_lang.Pp.pp_func) funcs)
-    in
-    Message.buf_text buf text;
-    Buffer.add_string buf "</module>"
-  end;
-  Message.buf_query buf ~passing:session.passing x;
-  let values = List.map snd args in
-  let frags =
-    match session.passing with
-    | Message.By_value -> []
-    | Message.By_fragment ->
-      Message.plan_by_fragment ep ~host (Message.value_nodes values)
-    | Message.By_projection ->
-      let used, returned = param_node_sets x args in
-      Message.plan_by_projection ?schema:session.schema ep ~host ~used
-        ~returned
-  in
-  Message.write_fragments buf frags;
-  Buffer.add_string buf "<call>";
-  List.iter
-    (fun (v, value) ->
-      Message.write_sequence ep ~host ~passing:session.passing ~frags buf
-        ~param:v value)
-    args;
-  Buffer.add_string buf "</call>";
-  Buffer.add_string buf "</request>";
-  Buffer.contents buf
-
-and build_request session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs =
-  Message.envelope
-    (request_body session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs)
-
-(* The compiled encoder for one call, when the wire-shape analysis
-   produced one for this call site and nothing about the call needs the
-   generic writer. Module shipping mutates per-host state inside the
-   generic writer, so any call that still has to ship functions goes
-   generic (not a bailout — the shape analysis never claimed to cover
-   it). [None] from the encoder itself is a runtime shape mismatch and
-   counts as one. The two writers are byte-identical by construction;
-   the QCheck differential harness holds them to it. *)
-and compiled_request session ~host ?req_id ?txn ?epoch (x : Ast.execute_at)
-    ~args ~funcs =
-  match session.codec with
-  | None -> None
-  | Some c ->
-    if funcs <> [] && not (Hashtbl.mem session.funcs_shipped host) then None
-    else (
-      match Codec.find_call c x.Ast.body.Ast.id with
-      | None -> None
-      | Some cc -> (
-        let stats = session.net.Network.stats in
-        match
-          Codec.encode_request cc
-            ~caller:(Peer.name session.self)
-            ?req_id ?txn ?epoch ?deadline:(remaining_budget session) args
-        with
-        | Some text ->
-          Stats.incr stats Stats.codec_compiled;
-          Some text
-        | None ->
-          Stats.incr stats Stats.codec_bailouts;
-          None))
 
 (* ---------------- server side ----------------------------------------- *)
 
@@ -988,6 +896,9 @@ and handle_parsed session ~client_name ~ep ?req_id msg req =
     | Some qn -> X.Node.string_value qn
     | None -> Message.protocol_error "XRPC request without <query>"
   in
+  (* parsed once: by the forward check under dynamic topology, else
+     inside the evaluation's accounted region *)
+  let body = lazy (Xd_lang.Parser.parse_expr_string body_text) in
   let args =
     match Message.find_child req "call" with
     | None -> Message.protocol_error "XRPC request without <call>"
@@ -1007,7 +918,7 @@ and handle_parsed session ~client_name ~ep ?req_id msg req =
   let forward =
     match session.net.Network.catalog with
     | Some cat when Network.topo_active session.net ->
-      let body = Xd_lang.Parser.parse_expr_string body_text in
+      let body = Lazy.force body in
       let updates = Ast.contains_update body in
       let self = Peer.name session.self in
       List.find_map
@@ -1046,7 +957,7 @@ and handle_parsed session ~client_name ~ep ?req_id msg req =
   let staged = ref 0 in
   let result =
     accounted session Stats.Remote "evaluate" (fun () ->
-        let body = Xd_lang.Parser.parse_expr_string body_text in
+        let body = Lazy.force body in
         let vars =
           List.fold_left
             (fun acc (v, value) -> Env.Smap.add v value acc)
@@ -1210,20 +1121,15 @@ and shred_response_node _session msg ~ep ~host resp :
   (v, tinfo)
 
 (* Client-side response shredding. When the wire-shape analysis proved
-   this call site's response atomic, the compiled decoder runs first: an
-   exact prefix/suffix match around a flat <atomic> scan, agreeing with
-   the generic parser on every byte string it accepts. Anything it did
-   not predict — faults, forwards, txn attributes, trace headers,
+   the call site's response atomic, the caller hands over its compiled
+   decoder, which runs first: an exact prefix/suffix match around a flat
+   <atomic> scan, agreeing with the generic parser on every byte string
+   it accepts. Anything it did not predict — faults, forwards,
    corruption — misses the prefix and falls back (codec.bailouts). *)
-and shred_response session ?vertex ~ep ~host response_text :
+and shred_response session ?decoder ~ep ~host response_text :
     Value.t * (int * string list) option =
   let stats = session.net.Network.stats in
-  let compiled =
-    match (session.codec, vertex) with
-    | Some c, Some v -> Codec.find_resp c v
-    | _ -> None
-  in
-  match compiled with
+  match decoder with
   | Some rd -> (
     match
       accounted session Stats.Shred "response" (fun () ->
@@ -1322,36 +1228,33 @@ and degrade session env (x : Ast.execute_at) ~host ~args =
   Eval.local_execute_at { env with Env.resolve_doc = resolve } x ~host ~args
 
 (* Put one message on the wire under a "network" span: wall-instant, but
-   its simulated-clock interval captures the billed wire time. The
-   optional [hdr_span] is the span whose ids ride in an injected
-   <trace> header — the attempt span, so the receiving peer's spans
-   parent under that exact attempt. *)
-and send_on_wire session ~dst ?hdr_span text =
+   its simulated-clock interval captures the billed wire time. A request
+   comes with [deadline_at], the offset its writer stamped the deadline
+   at; a reply with none. The optional [hdr_span] is the span whose ids
+   ride in an injected <trace> header — the attempt span, so the
+   receiving peer's spans parent under that exact attempt. *)
+and send_on_wire session ~dst ?hdr_span ?deadline_at text =
   let stats = session.net.Network.stats in
   traced session ~cat:"network" ("send " ^ dst) @@ fun nsp ->
   attr_delta_i nsp "bytes" (fun () -> Stats.total_bytes stats) @@ fun () ->
-  (* Re-stamp the remaining deadline budget as of *now*, pre-subtracting
-     this message's own wire time: the receiver's budget then equals the
-     sender's budget at the moment of receipt, so budgets are strictly
-     monotone across hops. Fixed width, so patching never changes the
-     message length (retries re-patch the same bytes in place). *)
+  (* Re-stamp a request's deadline with the budget remaining *now*,
+     pre-subtracting this message's own wire time: the receiver's budget
+     then equals the sender's budget at the moment of receipt, so
+     budgets are strictly monotone across hops. Fixed width, so the
+     message length never changes (retries re-stamp the same bytes). *)
   let text =
-    match deadline_now session with
-    | None -> text
-    | Some d ->
-      let remaining =
-        d -. sim_now session -. Network.wire_s session.net (String.length text)
-      in
-      fst (Message.patch_deadline text ~remaining)
+    match (deadline_at, deadline_now session) with
+    | Some at, Some d ->
+      Message.restamp_deadline text ~at
+        (d -. sim_now session -. Network.wire_s session.net (String.length text))
+    | _ -> text
   in
-  (* deadline / retry-after attributes are billed but invisible to the
-     fault schedule; only scan for them when the feature is in force.
-     Ranges are computed on the final text — after any trace-header
-     injection, which shifts offsets. *)
-  let hidden t =
-    if deadline_active session || Network.overload_active session.net then
-      Message.overload_ranges t
-    else []
+  (* a request's deadline and a fault reply's retry-after are billed but
+     invisible to the fault schedule *)
+  let hidden =
+    match deadline_at with
+    | Some at -> [ Message.deadline_range at ]
+    | None -> Option.to_list (Message.retry_after_range text)
   in
   let r =
     match (session.tracer, hdr_span) with
@@ -1361,8 +1264,10 @@ and send_on_wire session ~dst ?hdr_span text =
           ~span_id:s.Trace.span_id
       in
       let text, at, len = Message.inject_trace_header text ~header in
-      Network.send ~meta:(at, len) ~hidden:(hidden text) session.net ~dst text
-    | _ -> Network.send ~hidden:(hidden text) session.net ~dst text
+      (* the header goes in before every hidden range *)
+      let hidden = List.map (fun (a, l) -> (a + len, l)) hidden in
+      Network.send ~meta:(at, len) ~hidden session.net ~dst text
+    | _ -> Network.send ~hidden session.net ~dst text
   in
   (match r with
   | Network.Dropped -> Trace.add_attr nsp "dropped" (Trace.B true)
@@ -1379,8 +1284,11 @@ and send_on_wire session ~dst ?hdr_span text =
 and exchange session ~host =
   let srv = server_session session host in
   let self_name = Peer.name session.self in
-  fun ?hdr_span req_text ->
-    match send_on_wire session ~dst:host ?hdr_span req_text with
+  fun ?hdr_span (req : Message.outgoing) ->
+    match
+      send_on_wire session ~dst:host ?hdr_span
+        ?deadline_at:req.Message.deadline_at req.Message.text
+    with
     | Network.Dropped -> None
     | Network.Delivered { text; duplicated } -> (
       let reply = handle_request srv ~client_name:self_name text in
@@ -1422,16 +1330,21 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
       Some (Xd_topo.Catalog.epoch cat)
     | _ -> None
   in
-  let req_text =
+  let req =
     accounted session Stats.Serialize "request" (fun () ->
-        match
-          compiled_request session ~host ?req_id ?txn ?epoch x ~args ~funcs
-        with
-        | Some text -> text
-        | None ->
-          build_request session ~ep ~host ?req_id ?txn ?epoch x ~args ~funcs)
+        Message.write_request (request_writer session x) ep ~host
+          ?schema:session.schema ?deadline:(remaining_budget session)
+          { Message.args; funcs = module_for session ~host funcs; req_id; txn; epoch })
   in
-  record session (`Request req_text);
+  record session (`Request req.Message.text);
+  (* a txn-tagged response carries txn/staged, which no compiled decoder
+     matches: only calls outside a transaction take one *)
+  let decoder =
+    match txn with
+    | None ->
+      Option.bind session.codec (fun c -> Codec.find_resp c x.Ast.body.Ast.id)
+    | Some _ -> None
+  in
   let send = exchange session ~host in
   (* Jitter key: (request id, destination host) when there is an id
      (faulty wire — the only place retries can happen), else the host.
@@ -1450,11 +1363,9 @@ and call_host session env (x : Ast.execute_at) ~host ~args =
              reason =
                Printf.sprintf "deadline budget exhausted before attempt %d" n;
            }))
-    (fun asp -> send ?hdr_span:asp req_text)
+    (fun asp -> send ?hdr_span:asp req)
     (fun asp reply ->
-      match
-        shred_response session ~vertex:x.Ast.body.Ast.id ~ep ~host reply
-      with
+      match shred_response session ?decoder ~ep ~host reply with
       | v, tinfo ->
         (* collect transaction participants: the callee (if it staged
            anything) plus whatever its own fan-out staged *)
@@ -1687,31 +1598,26 @@ and batch_call session env ~host
   let ep = call_endpoint session in
   let txn = Option.map (fun c -> c.txn_id) session.txn in
   List.iter (fun _ -> Stats.incr_call ~peer:host stats) items;
-  let req_text =
+  let req =
     accounted session Stats.Serialize "batch request" (fun () ->
-        let buf = Buffer.create 1024 in
-        Buffer.add_string buf "<batch";
-        Message.buf_attr buf "caller" (Peer.name session.self);
-        Message.buf_attr buf "calls" (string_of_int n);
-        (* the envelope is the admission unit: it carries the budget for
-           all its slots (re-patched at send), and the slots carry none *)
-        (match remaining_budget session with
-        | Some d -> Message.buf_deadline buf d
-        | None -> ());
-        Buffer.add_char buf '>';
-        List.iter
-          (fun (x, args) ->
-            Buffer.add_string buf
-              (request_body session ~ep ~host ?txn ~in_batch:true x ~args
-                 ~funcs))
-          items;
-        Buffer.add_string buf "</batch>";
-        Message.envelope (Buffer.contents buf))
+        Message.write_batch ~caller:(Peer.name session.self) ep ~host
+          ?schema:session.schema ?deadline:(remaining_budget session)
+          (List.map
+             (fun (x, args) ->
+               ( request_writer session x,
+                 {
+                   Message.args;
+                   funcs = module_for session ~host funcs;
+                   req_id = None;
+                   txn;
+                   epoch = None;
+                 } ))
+             items))
   in
   Stats.incr stats Stats.batch_envelopes;
   Stats.incr ~by:n stats Stats.batch_calls;
-  record session (`Request req_text);
-  match exchange session ~host ?hdr_span:bsp req_text with
+  record session (`Request req.Message.text);
+  match exchange session ~host ?hdr_span:bsp req with
   | Some reply -> shred_batch_response session ~ep ~host ~calls:n reply
   | None ->
     (* unreachable: batches only form on a fault-free wire *)
@@ -1981,14 +1887,14 @@ let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
   Trace.add_attr csp "txn" (Trace.S txn);
   Trace.add_attr csp "host" (Trace.S host);
   (* 2PC control consumes deadline budget like any other hop: the value
-     here is a placeholder, re-patched with the remaining budget at each
+     here is a placeholder, re-stamped with the remaining budget at each
      send *)
   let deadline = remaining_budget session in
-  let req_text =
+  let req =
     accounted session Stats.Serialize "control" (fun () ->
         Message.write_txn_control ?epoch ?deadline ~action ~txn ())
   in
-  record session (`Request req_text);
+  record session (`Request req.Message.text);
   let send = exchange session ~host in
   match
     with_retries session ~key:(txn ^ "/" ^ act ^ "@" ^ host)
@@ -2002,7 +1908,7 @@ let txn_rpc session ~host ?epoch action txn : (Message.txn_ack, exn) result =
                  Printf.sprintf
                    "deadline budget exhausted before 2PC %s attempt %d" act n;
              }))
-      (fun asp -> send ?hdr_span:asp req_text)
+      (fun asp -> send ?hdr_span:asp req)
       (fun _ reply ->
         (* a fatal fault is returned, not raised: an exception through
            the attempt span would mark the span as failed *)

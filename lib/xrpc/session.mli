@@ -76,16 +76,16 @@ val create :
     and update lists are identical either way. An empty schedule
     (default) is plain sequential evaluation.
 
-    [codec], when given, installs the compiled per-call-site codecs from
-    the wire-shape analysis (PROTOCOL.md, "Compiled codecs"): requests
-    whose parameters are provably atomic are emitted by specialized
-    encoders, and provably-atomic responses are read by specialized
-    decoders. Both are strict specializations — the wire is
-    byte-identical to the generic paths, any runtime shape mismatch falls
-    back (counted in [codec.bailouts]), and the handle is shared with
-    every server session of the plan. Absent (default), generic paths
-    only. Either way every incoming message is read by
-    {!Message.parse}.
+    [codec], when given, installs the plan's compiled per-call-site
+    codecs (PROTOCOL.md, "Compiled codecs"): each call site's request
+    writer, compiled with the plan, and decoders for provably-atomic
+    responses, which a call outside a transaction tries first (a
+    response they do not match is read generically, counted in
+    [codec.bailouts]). Its server sessions get none: the bodies they
+    evaluate are parsed afresh, with vertex ids no plan knows. Absent
+    (default), each call compiles its writer when it is sent — {!Message.compile_request}, the same function, so the wire
+    is byte-identical either way. Every incoming message the decoder
+    does not take is read by {!Message.parse}.
 
     [tracer], when given, records hierarchical spans for every call,
     attempt, (de)serialization, evaluation, fallback and 2PC exchange of

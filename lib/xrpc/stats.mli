@@ -54,10 +54,10 @@ val breaker_opens : counter  (* circuit-breaker closed->open transitions *)
 val breaker_shed : counter  (* calls shed locally by an open breaker *)
 val breaker_probes : counter  (* half-open probe calls let through *)
 val retry_budget_stops : counter  (* retries skipped: the pool was spent *)
-val codec_compiled : counter  (* requests emitted by a compiled encoder *)
+val codec_compiled : counter  (* requests and batch slots written by a plan-time writer *)
 val codec_decodes : counter  (* responses read by a compiled decoder *)
 val codec_event_shreds : counter  (* subtrees built while a message was read *)
-val codec_bailouts : counter  (* compiled attempts that fell back *)
+val codec_bailouts : counter  (* compiled decodes that fell back *)
 val journal_records : counter  (* records appended to any peer journal *)
 
 val declared : unit -> (string * [ `Eager | `Lazy ]) list

@@ -198,6 +198,28 @@ let test_constructed_parentless () =
       ({|count(<a><y/></a>/child::y/parent::node())|}, "1");
     ]
 
+(* A by-value copy is parentless too: the callee's constructed node
+   arrives as a fresh document whose top node, element, text or
+   attribute alike, has no parent — what run_local answers. *)
+let test_shipped_copy_parentless () =
+  List.iter
+    (fun body ->
+      let net = Xd_xrpc.Network.create () in
+      let client = Xd_xrpc.Network.new_peer net "client" in
+      ignore (Xd_xrpc.Network.new_peer net "peer1");
+      let session =
+        Xd_xrpc.Session.create net client Xd_xrpc.Message.By_value
+      in
+      let q =
+        Printf.sprintf
+          {|count((execute at {"peer1"} function () { %s })/parent::node())|}
+          body
+      in
+      check_string q "0"
+        (Xd_lang.Value.serialize
+           (Xd_xrpc.Session.execute session (Xd_lang.Parser.parse_query q))))
+    [ "<y/>"; {|text {"t"}|}; {|attribute a {"1"}|} ]
+
 (* ---- typeswitch ------------------------------------------------------------ *)
 
 let test_typeswitch () =
@@ -905,6 +927,7 @@ let () =
           tc "identity" test_constructor_identity;
           tc "navigation" test_constructed_navigation;
           tc "parentless" test_constructed_parentless;
+          tc "by-value copies parentless" test_shipped_copy_parentless;
         ] );
       ("typeswitch", [ tc "cases" test_typeswitch ]);
       ( "functions",

@@ -495,13 +495,76 @@ let server_fault_of txt =
   | Some f -> Some (fst (M.parse_fault f))
   | None -> None
 
+(* The execute-at of a one-call query. *)
+let exec_of src =
+  let q = Xd_lang.Parser.parse_query src in
+  match q.Xd_lang.Ast.body.Xd_lang.Ast.desc with
+  | Xd_lang.Ast.Execute_at x -> x
+  | _ -> Alcotest.fail "not an execute-at"
+
 let test_deadline_on_wire () =
   let req = deadline_request () in
   check_bool "fixed-width attribute stamped"
     (contains req " deadline=\"00000005.000000\"");
-  (* the hidden ranges the fault layer must skip cover exactly that
-     attribute *)
-  check_bool "one hidden range" (List.length (M.overload_ranges req) = 1)
+  (* every writer that stamps a deadline reports where its value sits,
+     and the range the fault layer must skip is exactly that attribute *)
+  let _, client, _ = setup () in
+  let ep = M.make_endpoint client in
+  let w =
+    M.compile_request ~passing:M.By_fragment ~caller:"client"
+      (exec_of {|execute at {"example.org"} function ($n := 1) { $n }|})
+  in
+  let call =
+    {
+      M.args = [ ("n", [ Xd_lang.Value.A (Xd_lang.Value.Integer 1) ]) ];
+      funcs = None;
+      req_id = Some "client:1";
+      txn = Some "t1";
+      epoch = Some 3;
+    }
+  in
+  let stamped (o : M.outgoing) =
+    match o.M.deadline_at with
+    | None -> false
+    | Some at ->
+      let a, l = M.deadline_range at in
+      String.sub o.M.text at 15 = "00000005.000000"
+      && String.sub o.M.text a l = {| deadline="00000005.000000"|}
+  in
+  check_bool "request"
+    (stamped (M.write_request w ep ~host:"example.org" ~deadline:5.0 call));
+  check_bool "batch"
+    (stamped
+       (M.write_batch ~caller:"client" ep ~host:"example.org" ~deadline:5.0
+          [ (w, call); (w, call) ]));
+  check_bool "2PC control"
+    (stamped
+       (M.write_txn_control ~epoch:3 ~deadline:5.0 ~action:M.Prepare
+          ~txn:"t1" ()));
+  check_bool "no budget, no offset"
+    ((M.write_request w ep ~host:"example.org" call).M.deadline_at = None);
+  (* a restamp writes the value in place, length unchanged *)
+  let o = M.write_request w ep ~host:"example.org" ~deadline:5.0 call in
+  let at = Option.get o.M.deadline_at in
+  let o' = M.restamp_deadline o.M.text ~at 4.25 in
+  check_bool "restamped in place"
+    (String.length o' = String.length o.M.text
+    && String.sub o' at 15 = "00000004.250000");
+  (* retry-after: only a top-level fault's, at its fixed offset *)
+  let fault =
+    M.write_fault ~retry_after:0.25 ~code:M.Server_overloaded
+      ~reason:"queue full" ()
+  in
+  (match M.retry_after_range fault with
+  | Some (a, l) ->
+    check_string "retry-after range" {| retry-after="000.2500"|}
+      (String.sub fault a l)
+  | None -> Alcotest.fail "retry-after not found at its offset");
+  check_bool "fault without retry-after"
+    (M.retry_after_range
+       (M.write_fault ~code:M.Server_overloaded ~reason:"queue full" ())
+    = None);
+  check_bool "a request has none" (M.retry_after_range req = None)
 
 let test_malformed_deadline () =
   let req = deadline_request () in
@@ -661,13 +724,11 @@ let test_malformed_topo_envelopes_answered_with_faults () =
 (* ---- the optional <trace> telemetry header -------------------------------- *)
 
 let test_trace_header_roundtrip () =
-  let env =
-    "<env:Envelope><env:Body><xrpc:request/></env:Body></env:Envelope>"
-  in
+  let env = M.envelope "<xrpc:request/>" in
   let hdr = M.trace_header ~trace_id:"ab12cd" ~span_id:"f3" in
   let injected, at, len = M.inject_trace_header env ~header:hdr in
-  check_bool "inserted right after <env:Body>"
-    (at = String.length "<env:Envelope><env:Body>");
+  check_bool "inserted first in <env:Body>"
+    (at = M.body_at && at = String.length M.env_open);
   check_int "reported header length" (String.length hdr) len;
   check_bool "payload unchanged around the header"
     (String.sub injected 0 at ^ String.sub injected (at + len)
@@ -679,6 +740,10 @@ let test_trace_header_roundtrip () =
     check_string "span id" "f3" s
   | None -> Alcotest.fail "valid header did not decode");
   check_bool "absent header -> None" (M.peek_trace_header env = None);
+  (* the header is read at its offset only: one further down the body
+     (say, inside shipped data) is no header *)
+  check_bool "header off its offset -> None"
+    (M.peek_trace_header (M.envelope ("<xrpc:request/>" ^ hdr)) = None);
   (* a non-envelope ships unmodified *)
   let txt, at, len = M.inject_trace_header "<fragment/>" ~header:hdr in
   check_bool "non-envelope untouched" (txt = "<fragment/>" && at = 0 && len = 0)
@@ -686,7 +751,7 @@ let test_trace_header_roundtrip () =
 (* Every way a header can be broken must decode to [None] — the call then
    proceeds untraced; a bad header is never a protocol fault. *)
 let test_trace_header_malformed () =
-  let peek h = M.peek_trace_header ("<env:Body>" ^ h ^ "<xrpc:request/>") in
+  let peek h = M.peek_trace_header (M.envelope (h ^ "<xrpc:request/>")) in
   check_bool "uppercase hex rejected"
     (peek {|<trace trace-id="AB" span-id="12"/>|} = None);
   check_bool "non-hex rejected"
@@ -702,10 +767,15 @@ let test_trace_header_malformed () =
           (String.make 33 'a'))
     = None);
   check_bool "unterminated attribute rejected"
-    (M.peek_trace_header {|<env:Body><trace trace-id="ab" span-id="12|} = None);
+    (M.peek_trace_header (M.env_open ^ {|<trace trace-id="ab" span-id="12|})
+    = None);
   check_bool "unclosed element rejected"
-    (M.peek_trace_header {|<env:Body><trace trace-id="ab" span-id="12"|}
-    = None)
+    (M.peek_trace_header (M.env_open ^ {|<trace trace-id="ab" span-id="12"|})
+    = None);
+  check_bool "truncated inside the header rejected"
+    (M.peek_trace_header (M.env_open ^ {|<trace trace-id="a|}) = None);
+  check_bool "truncated before the header rejected"
+    (M.peek_trace_header (String.sub M.env_open 0 20) = None)
 
 (* End to end: a server given a request with a corrupt header answers it
    untraced instead of faulting. *)

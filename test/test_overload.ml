@@ -127,6 +127,74 @@ let prop_no_work_after_deadline =
       | exception M.Xrpc_fault { code = M.Deadline_exceeded; _ } ->
         after () = before)
 
+(* ---- fault-schedule invisibility ------------------------------------------ *)
+
+(* PROTOCOL.md, "Fault-schedule invisibility": a deadline is billed but
+   hidden from the fault layer, so a budget that never expires leaves a
+   seeded drop/dup/truncate schedule hitting the very same messages —
+   the same fault counts by kind, messages, retries and result (or fault
+   code) as the run without one. *)
+
+let gen_wire_spec =
+  let open QCheck.Gen in
+  let rule =
+    let* target = oneofl [ ""; "peerA:"; "peerB:" ] in
+    let* kind = oneofl [ "drop"; "dup"; "truncate" ] in
+    let* prob = oneofl [ "@0.2"; "@0.5"; "@1" ] in
+    let* limit = oneofl [ ""; "#1"; "#3" ] in
+    return (target ^ kind ^ prob ^ limit)
+  in
+  let* n = int_range 1 3 in
+  let* rules = list_size (return n) rule in
+  return (String.concat ";" rules)
+
+let arb_invisible =
+  QCheck.make
+    ~print:(fun (q, spec, seed, s) ->
+      Printf.sprintf "%s\nspec %S, seed %d, %s" (Xd_lang.Pp.query_to_string q)
+        spec seed (S.to_string s))
+    QCheck.Gen.(
+      quad Gen_queries.gen_query gen_wire_spec (int_bound 9999)
+        (oneofl [ S.By_value; S.By_fragment; S.By_projection ]))
+
+let faults_by_kind net =
+  let reg = Xd_xrpc.Stats.registry net.Xd_xrpc.Network.stats in
+  List.filter_map
+    (fun name ->
+      if String.starts_with ~prefix:"xrpc.faults" name then
+        Some (name, Xd_obs.Metrics.(counter_value (counter reg name)))
+      else None)
+    (List.sort compare (Xd_obs.Metrics.names reg))
+
+let prop_deadline_invisible =
+  qtest ~count:250 "a deadline leaves the fault schedule as it was"
+    arb_invisible (fun (q, spec, seed, strategy) ->
+      let once ?deadline () =
+        let fault =
+          match Xd_xrpc.Fault.parse spec with
+          | Ok s -> Xd_xrpc.Fault.create ~seed s
+          | Error e -> failwith e
+        in
+        let net, client = Gen_queries.make_net ~fault () in
+        let outcome =
+          match E.run ?deadline ~timeout_s:0.5 ~retries:2 net ~client strategy q with
+          | r -> "value: " ^ Xd_lang.Value.serialize r.E.value
+          | exception M.Xrpc_fault { code; _ } ->
+            "fault: " ^ M.fault_code_to_string code
+          | exception M.Xrpc_timeout { attempts; _ } ->
+            Printf.sprintf "timeout after %d" attempts
+          | exception e -> "error: " ^ Printexc.to_string e
+        in
+        let st = net.Xd_xrpc.Network.stats in
+        let c = Xd_xrpc.Stats.count st in
+        ( outcome,
+          faults_by_kind net,
+          c Xd_xrpc.Stats.messages,
+          c Xd_xrpc.Stats.retries,
+          c Xd_xrpc.Stats.timeouts )
+      in
+      once () = once ~deadline:1e6 ())
+
 (* ---- breaker determinism --------------------------------------------------- *)
 
 (* Same fault seed, same sequence of calls: the breaker opens at the
@@ -301,7 +369,12 @@ let () =
       ( "model",
         [ tc "admission pinned" test_admit_pinned;
           tc "breaker pinned" test_breaker_pinned ] );
-      ("deadline", [ prop_deadline_monotonic; prop_no_work_after_deadline ]);
+      ( "deadline",
+        [
+          prop_deadline_monotonic;
+          prop_no_work_after_deadline;
+          prop_deadline_invisible;
+        ] );
       ("breaker", [ prop_breaker_deterministic ]);
       ("goodput", [ prop_goodput_never_worse ]);
     ]

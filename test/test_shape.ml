@@ -3,16 +3,18 @@
    The codec contract (PROTOCOL.md, "Compiled codecs") is byte-identity:
    a session with compiled codecs installed puts *exactly* the same
    octets on the wire as one without, and computes the same value — the
-   compiled encoder/decoder are strict specializations with a generic
-   fallback, never a second dialect. This suite drives that contract
+   request writer is the same function whether it was compiled with the
+   plan or when the call was sent, and the decoder is a strict
+   specialization of the generic reader, never a second dialect. This suite drives that contract
    with random Gen_queries programs under every environment that bends
    the wire: fault injection, topology churn, overload shedding and
    distributed transactions.
 
-   Alongside byte-identity: shape-descriptor soundness (a plain run of
-   a compiled plan never takes the bailout path — the analysis never
-   over-claims) and the verifier's tamper rejection (a descriptor the
-   independent re-derivation cannot reproduce is a wire-shape error). *)
+   Alongside byte-identity: the writer against the generic writer it
+   replaced, shape-descriptor soundness (a plain run of a compiled plan
+   never takes the bailout path — the analysis never over-claims) and
+   the verifier's tamper rejection (a descriptor the independent
+   re-derivation cannot reproduce is a wire-shape error). *)
 
 module S = Xd_core.Strategy
 module E = Xd_core.Executor
@@ -151,10 +153,289 @@ let prop_identity_overload =
 let prop_identity_txn =
   qtest ~count:100 "codec on/off: identical wire under txn" arb_query
     (fun q ->
-      (* txn attributes push responses off the compiled decoder's
-         accepted language: the bailout path must agree with the
-         generic parser on every message *)
-      differential ~txn:`Always q)
+      (* a txn-tagged response carries txn/staged, outside the compiled
+         decoder's language: a call inside a transaction never tries
+         the decoder, so nothing bails out *)
+      differential ~txn:`Always q ~check:(fun t -> t.E.codec_bailouts = 0))
+
+(* ---- the one writer against the old one ------------------------------------ *)
+
+(* The compiled request writer against the generic writer it replaced
+   (Request_oracle): byte for byte, under every passing semantics, for
+   atomic, node and mixed parameters, module shipping, every per-call
+   attribute and batch slots. Fragment planning records what each host
+   already has, so the two writers run on twin endpoints of one peer,
+   with twin module-shipping tables, through the same sequence of
+   calls. *)
+
+module M = Xd_xrpc.Message
+module Value = Xd_lang.Value
+
+(* Call sites, by template. *)
+let templates =
+  [|
+    {|execute at {"H"} function () { 1 }|};
+    {|execute at {"H"} function ($a := 1) { $a }|};
+    {|execute at {"H"} function ($a := 1, $b := 2) { ($b, $a) }|};
+    {|execute at {"H"} function ($s := "x") { concat($s, "<&>'") }|};
+    {|execute at {"H"} function ($p := ()) { $p/child::name }|};
+  |]
+
+let exec_at src =
+  match (Xd_lang.Parser.parse_query src).Xd_lang.Ast.body.Xd_lang.Ast.desc with
+  | Xd_lang.Ast.Execute_at x -> x
+  | _ -> failwith "not an execute-at"
+
+let module_funcs =
+  lazy
+    (Xd_lang.Parser.parse_query
+       {|declare function local:f($x) { $x + 1 };
+         declare function local:g($y) { <a>{$y}</a> };
+         1|})
+      .Xd_lang.Ast.funcs
+
+let paths = [| "."; "child::name"; "descendant::age"; "attribute::id"; "parent::node()"; "child::*/child::text()" |]
+
+type item = Atom of Value.atom | Node of int
+
+type wcall = {
+  tpl : int;
+  items : item list list;  (* per parameter *)
+  drift : bool;  (* rename the last argument *)
+  req_id : string option;
+  txn : string option;
+  epoch : int option;
+  budget : float option;
+  with_funcs : bool;
+  host : string;
+}
+
+type step = Single of wcall | Batch of string * float option * string option * wcall list
+
+let gen_atom =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Value.Integer i) small_signed_int;
+        map (fun s -> Value.String s) (string_size ~gen:(oneofl [ 'a'; '<'; '&'; '"'; '>'; ' '; '\'' ]) (int_bound 6));
+        map (fun b -> Value.Boolean b) bool;
+        map (fun f -> Value.Double f) (float_bound_inclusive 100.);
+        map (fun s -> Value.Untyped s) (oneofl [ ""; "u"; "&x;" ]);
+      ])
+
+let gen_items =
+  QCheck.Gen.(
+    list_size (int_bound 3)
+      (frequency [ (2, map (fun a -> Atom a) gen_atom); (3, map (fun i -> Node i) (int_bound 1000)) ]))
+
+let gen_wcall =
+  QCheck.Gen.(
+    let* tpl = int_bound (Array.length templates - 1) in
+    let* items = list_size (int_bound 2) gen_items in
+    let* drift = frequencyl [ (9, false); (1, true) ] in
+    let* req_id = opt (map (Printf.sprintf "client:%d") (int_bound 99)) in
+    let* txn = opt (oneofl [ "client-1"; "client-2" ]) in
+    let* epoch = opt (int_bound 12) in
+    let* budget = opt (float_bound_inclusive 1000.) in
+    let* with_funcs = bool in
+    let* host = oneofl [ "peerA"; "peerB" ] in
+    return { tpl; items; drift; req_id; txn; epoch; budget; with_funcs; host })
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun c -> Single c) gen_wcall);
+        ( 1,
+          let* host = oneofl [ "peerA"; "peerB" ] in
+          let* budget = opt (float_bound_inclusive 1000.) in
+          let* txn = opt (oneofl [ "client-1"; "client-2" ]) in
+          let* slots = list_size (int_range 2 3) gen_wcall in
+          return (Batch (host, budget, txn, slots)) );
+      ])
+
+type case = {
+  passing : M.passing;
+  schema : bool;
+  param_paths : (int * string list * string list) list;  (* by template *)
+  result_paths : (int * string list * string list) list;
+  steps : step list;
+}
+
+let gen_paths =
+  QCheck.Gen.(
+    list_size (int_bound 4)
+      (triple
+         (int_bound (Array.length templates - 1))
+         (list_size (int_bound 2) (oneofa paths))
+         (list_size (int_bound 2) (oneofa paths))))
+
+let arb_case =
+  QCheck.make
+    ~print:(fun c ->
+      Printf.sprintf "%s, %d steps, schema %b"
+        (M.passing_to_string c.passing)
+        (List.length c.steps) c.schema)
+    QCheck.Gen.(
+      let* passing = oneofl [ M.By_value; M.By_fragment; M.By_projection ] in
+      let* schema = bool in
+      let* param_paths = gen_paths in
+      let* result_paths = gen_paths in
+      let* steps = list_size (int_range 1 4) gen_step in
+      return { passing; schema; param_paths; result_paths; steps })
+
+let writer_net =
+  lazy
+    (let net, client = make_net () in
+     let a = Xd_xrpc.Network.find_peer net "peerA" in
+     let doc = Option.get (Xd_xrpc.Peer.find_doc a "students.xml") in
+     (* the client's own nodes (constructed ones too) and nodes of a
+        document it holds *)
+     let local = Option.get (Xd_xrpc.Peer.find_doc client "local.xml") in
+     let store = Xd_xrpc.Peer.store client in
+     let nodes =
+       Array.of_list
+         (List.concat_map
+            (fun n -> n :: Xd_xml.Node.attributes n)
+            (Xd_xml.Node.descendant_or_self (Xd_xml.Node.doc_node local)
+            @ Xd_xml.Node.descendant_or_self (Xd_xml.Node.doc_node doc))
+         @ [
+             Xd_lang.Construct.element store "c" [ Value.A (Value.String "t") ];
+             Xd_lang.Construct.text store "t";
+             Xd_lang.Construct.attribute store "k" "v";
+           ])
+     in
+     (client, nodes))
+
+let prop_writer_matches_oracle =
+  qtest ~count:1000 "compiled writer = the old generic writer, byte for byte"
+    arb_case (fun c ->
+      let client, nodes = Lazy.force writer_net in
+      let schema =
+        if c.schema then
+          Some (function "person" -> [ "name" ] | "exam" -> [ "grade" ] | _ -> [])
+        else None
+      in
+      let xs =
+        Array.mapi
+          (fun i src ->
+            let x = exec_at src in
+            List.iter
+              (fun (t, u, r) ->
+                if t = i then
+                  match x.Xd_lang.Ast.params with
+                  | (v, _) :: _ -> x.Xd_lang.Ast.param_paths <- [ (v, u, r) ]
+                  | [] -> ())
+              c.param_paths;
+            List.iter
+              (fun (t, u, r) -> if t = i then x.Xd_lang.Ast.result_paths <- (u, r))
+              c.result_paths;
+            x)
+          templates
+      in
+      let writers =
+        Array.map (M.compile_request ~passing:c.passing ~caller:"client") xs
+      in
+      let ep_new = M.make_endpoint client and ep_old = M.make_endpoint client in
+      let shipped_new = Hashtbl.create 4 and shipped_old = Hashtbl.create 4 in
+      let oracle budget =
+        {
+          Request_oracle.passing = c.passing;
+          caller = "client";
+          schema;
+          funcs_shipped = shipped_old;
+          budget;
+        }
+      in
+      let args_of (w : wcall) =
+        let value items =
+          List.map
+            (function
+              | Atom a -> Value.A a
+              | Node i -> Value.N nodes.(i mod Array.length nodes))
+            items
+        in
+        let params = List.map fst xs.(w.tpl).Xd_lang.Ast.params in
+        let args =
+          List.mapi
+            (fun i v ->
+              (v, value (Option.value ~default:[] (List.nth_opt w.items i))))
+            params
+        in
+        if w.drift then
+          List.mapi (fun i (v, value) ->
+              if i = List.length args - 1 then (v ^ "z", value) else (v, value))
+            args
+        else args
+      in
+      let funcs (w : wcall) = if w.with_funcs then Lazy.force module_funcs else [] in
+      let module_for ~host fs =
+        match fs with
+        | [] -> None
+        | _ when Hashtbl.mem shipped_new host -> None
+        | _ ->
+          Hashtbl.replace shipped_new host ();
+          Some fs
+      in
+      (* a batch ships the module of its first member, as the
+         scheduler's envelope does *)
+      let batch_funcs = function w :: _ -> funcs w | [] -> [] in
+      let call ~host ?txn ?(fs = []) (w : wcall) ~in_batch =
+        {
+          M.args = args_of w;
+          funcs = module_for ~host (if in_batch then fs else funcs w);
+          req_id = (if in_batch then None else w.req_id);
+          txn = (if in_batch then txn else w.txn);
+          epoch = (if in_batch then None else w.epoch);
+        }
+      in
+      (* the writer's deadline offset points at the value it stamped *)
+      let stamped budget (o : M.outgoing) =
+        match (budget, o.M.deadline_at) with
+        | None, None -> true
+        | Some b, Some at -> String.sub o.M.text at 15 = M.deadline_value b
+        | _ -> false
+      in
+      let attempt f = try Ok (f ()) with e -> Error (Printexc.to_string e) in
+      List.for_all
+        (fun step ->
+          let fresh, old =
+            match step with
+            | Single w ->
+              ( attempt (fun () ->
+                    let o =
+                      M.write_request writers.(w.tpl) ep_new ~host:w.host ?schema
+                        ?deadline:w.budget
+                        (call ~host:w.host w ~in_batch:false)
+                    in
+                    (stamped w.budget o, o.M.text)),
+                attempt (fun () ->
+                    ( true,
+                      Request_oracle.build_request (oracle w.budget) ~ep:ep_old
+                        ~host:w.host ?req_id:w.req_id ?txn:w.txn ?epoch:w.epoch
+                        xs.(w.tpl) ~args:(args_of w) ~funcs:(funcs w) )) )
+            | Batch (host, budget, txn, slots) ->
+              ( attempt (fun () ->
+                    let o =
+                      M.write_batch ~caller:"client" ep_new ~host ?schema
+                        ?deadline:budget
+                        (List.map
+                           (fun w ->
+                             ( writers.(w.tpl),
+                               call ~host ?txn ~fs:(batch_funcs slots) w
+                                 ~in_batch:true ))
+                           slots)
+                    in
+                    (stamped budget o, o.M.text)),
+                attempt (fun () ->
+                    ( true,
+                      Request_oracle.build_batch (oracle budget) ~ep:ep_old ~host
+                        ?txn
+                        (List.map (fun w -> (xs.(w.tpl), args_of w)) slots)
+                        ~funcs:(batch_funcs slots) )) )
+          in
+          fresh = old)
+        c.steps)
 
 (* ---- descriptor soundness and verifier tamper rejection -------------------- *)
 
@@ -207,6 +488,7 @@ let () =
           prop_identity_overload;
           prop_identity_txn;
         ] );
+      ("writer", [ prop_writer_matches_oracle ]);
       ( "descriptors",
         [ prop_analysis_deterministic; prop_verifier_rejects_tampered ] );
     ]

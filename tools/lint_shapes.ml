@@ -16,6 +16,10 @@
      `Xd_obs`) outside lib/obs/ and lib/xrpc/stats.ml{,i}: run
      accounting is declared once in Stats, and everything else reads and
      writes it through Stats' generic operations.
+   - a `<request` literal, or the deadline or retry-after attribute
+     marker, outside lib/xrpc/message.ml: one writer builds every
+     request and stamps every header, and reports where it put them, so
+     no other module writes those bytes or searches for them.
 
    Usage: lint_shapes.exe DIR...  — scans every .ml/.mli under each DIR
    and exits non-zero with file:line diagnostics on any hit. Paths are
@@ -27,6 +31,11 @@ let outside_stats rel =
   not
     (String.starts_with ~prefix:"obs/" rel
     || rel = "xrpc/stats.ml" || rel = "xrpc/stats.mli")
+
+let outside_writer rel = rel <> "xrpc/message.ml"
+
+let writer_only =
+  "request bytes outside the one writer (write them in lib/xrpc/message.ml)"
 
 (* (pattern, where it is banned, why) *)
 let banned =
@@ -42,6 +51,10 @@ let banned =
       outside_stats,
       "metrics registry outside Stats (declare metrics in lib/xrpc/stats.ml)"
     );
+    ("\"<request\"", outside_writer, writer_only);
+    ("\"<request ", outside_writer, writer_only);
+    ("deadline=\\\"", outside_writer, writer_only);
+    ("retry-after=\\\"", outside_writer, writer_only);
   ]
 
 let violations = ref 0
